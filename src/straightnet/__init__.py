@@ -45,7 +45,7 @@ from .model import (
     load_graph,
     save_graph,
 )
-from .shortest_paths import all_pairs, dijkstra, worker_count
+from .shortest_paths import all_pairs, dijkstra
 from .svgplot import Series, render_svg, series_from_table
 from .sweeps import (
     DEFAULT_SWEEP_SUBDIVISION,
@@ -100,5 +100,4 @@ __all__ = [
     "summarize",
     "sweep_radial",
     "sweep_rectilinear",
-    "worker_count",
 ]

@@ -38,6 +38,9 @@ EXIT_IO = 3
 
 DEFAULT_CURVE_RADII = (3, 4, 8, 16)
 
+# Most values a range expression may select; checked before any is built.
+MAX_RANGE_VALUES = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; the contract here is 1."""
@@ -49,20 +52,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept '8', '3..20' and '1,2,5' style integer selections."""
+    """Accept '8', '3..20' and '1,2,5' style integer selections.
+
+    Raises ``argparse.ArgumentTypeError``, whose message argparse reports
+    as is, on junk, empty ranges and selections of more than
+    ``MAX_RANGE_VALUES`` values.
+    """
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, _, hi = part.partition("..")
-            start, stop = int(lo), int(hi)
-            if stop < start:
-                raise ValueError(f"empty range {part!r}")
-            values.extend(range(start, stop + 1))
-        elif part:
-            values.append(int(part))
+        if not part:
+            continue
+        lo, dots, hi = part.partition("..")
+        try:
+            start = int(lo)
+            stop = int(hi) if dots else start
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {part!r}") from exc
+        if stop < start:
+            raise argparse.ArgumentTypeError(f"empty range {part!r}")
+        if len(values) + stop - start + 1 > MAX_RANGE_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} selects more than {MAX_RANGE_VALUES} values"
+            )
+        values.extend(range(start, stop + 1))
     if not values:
-        raise ValueError(f"no values in range expression {text!r}")
+        raise argparse.ArgumentTypeError(f"no values in range expression {text!r}")
     return values
 
 

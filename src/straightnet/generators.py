@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NetworkGraph, build_graph
+from .model import NetworkGraph
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,10 @@ def generate_rectilinear(spec: GridSpec) -> NetworkGraph:
     row-major id order; edges join horizontal and vertical neighbors.
     Corner node 0 at ``(0, 0)`` doubles as the origin for center-to-edge
     comparisons, which covers the general case by rotation symmetry.
+
+    The graph carries the square's symmetry group D4, generated by the
+    quarter turn ``(i, j) -> (s - j, i)`` and the diagonal reflection
+    ``(i, j) -> (j, i)``.
     """
     s = spec.squares_per_side
     n = s + 1
@@ -70,7 +74,9 @@ def generate_rectilinear(spec: GridSpec) -> NetworkGraph:
     for j in range(s):
         for i in range(n):
             edges.append((j * n + i, (j + 1) * n + i))
-    return build_graph(nodes, edges)
+    quarter_turn = [i * n + (s - j) for j in range(n) for i in range(n)]
+    diagonal = [i * n + j for j in range(n) for i in range(n)]
+    return NetworkGraph(nodes, edges, symmetries=(quarter_turn, diagonal))
 
 
 def ring_node_id(spec: RadialSpec, ring: int, radius: int) -> int:
@@ -110,6 +116,11 @@ def generate_radioconcentric(spec: RadialSpec) -> NetworkGraph:
     ``side_subdivision`` q > 1 each chord is split into q collinear
     segments by q-1 interior nodes, so destinations exist strictly between
     spokes.
+
+    The graph carries the dihedral group D_k, generated by the rotation
+    through one sector and the reflection in the x-axis, which sends spoke
+    i to spoke -i and subdivision node (ring, side, step) to
+    (ring, -side-1 mod k, q-step).
     """
     k, m, q = spec.radii_count, spec.rings_count, spec.side_subdivision
     theta = 2.0 * math.pi / k
@@ -143,4 +154,16 @@ def generate_radioconcentric(spec: RadialSpec) -> NetworkGraph:
                 chain.extend(side_node_id(spec, ring, side, s) for s in range(1, q))
             chain.append(ring_node_id(spec, ring, (side + 1) % k))
             edges.extend(zip(chain, chain[1:]))
-    return build_graph(nodes, edges)
+
+    rotation, reflection = [0], [0]
+    for ring in range(1, m + 1):
+        for radius in range(k):
+            rotation.append(ring_node_id(spec, ring, (radius + 1) % k))
+            reflection.append(ring_node_id(spec, ring, -radius % k))
+    if q > 1:
+        for ring in range(1, m + 1):
+            for side in range(k):
+                for step in range(1, q):
+                    rotation.append(side_node_id(spec, ring, (side + 1) % k, step))
+                    reflection.append(side_node_id(spec, ring, (-side - 1) % k, q - step))
+    return NetworkGraph(nodes, edges, symmetries=(rotation, reflection))

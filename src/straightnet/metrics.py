@@ -50,56 +50,55 @@ def pair_straightness(
     return RouteMetrics(u, v, d_spatial, d_geodesic, d_spatial / d_geodesic)
 
 
-def iter_pair_metrics(
-    graph: NetworkGraph, threads: int | None = None
-) -> Iterator[RouteMetrics]:
+def iter_pair_metrics(graph: NetworkGraph) -> Iterator[RouteMetrics]:
     """All unordered pairs in canonical ``(min id, max id)`` order."""
-    distances = all_pairs(graph, threads=threads)
+    distances = all_pairs(graph)
     for u in range(graph.node_count - 1):
         for v in range(u + 1, graph.node_count):
             yield pair_straightness(graph, distances, u, v)
 
 
-def _straightness_values(graph, threads):
-    """Straightness per pair in canonical order, plus the skipped count."""
-    distances = all_pairs(graph, threads=threads)
-    positions = graph.positions
-    chunks = []
-    skipped = 0
-    for u in range(graph.node_count - 1):
-        d_g = distances[u, u + 1 :]
-        d_s = np.hypot(
-            positions[u + 1 :, 0] - positions[u, 0],
-            positions[u + 1 :, 1] - positions[u, 1],
-        )
-        usable = np.isfinite(d_g) & (d_s > 0.0)
-        skipped += int(len(d_g) - usable.sum())
-        chunks.append(d_s[usable] / d_g[usable])
-    values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return values, skipped
-
-
-def summarize(
-    graph: NetworkGraph, strict: bool = False, threads: int | None = None
-) -> StraightnessSummary:
+def summarize(graph: NetworkGraph, strict: bool = False) -> StraightnessSummary:
     """Mean and standard deviation of straightness over all node pairs.
 
-    Two-pass aggregation over the canonically ordered pair list, so the
-    result is bit-identical no matter how the underlying distance rows were
-    scheduled.  With ``strict`` any skipped pair raises instead of being
-    counted.
+    Runs Dijkstra from one representative per orbit of the graph's symmetry
+    group (every node, for a graph without symmetries) and weights the
+    representative's row of ordered-pair values by its orbit size: a
+    symmetry preserves both distances, so every node of an orbit sees the
+    same values.  The weighted two-pass aggregate over the kept rows runs
+    in a fixed order, so repeated runs are bit-identical.  Ordered counts
+    are halved into unordered pairs.  With ``strict`` any skipped pair
+    raises instead of being counted.
     """
-    if graph.node_count < 2:
+    n = graph.node_count
+    if n < 2:
         raise ValueError("need at least 2 nodes to aggregate pair straightness")
-    values, skipped = _straightness_values(graph, threads)
+    positions = graph.positions
+    kept: list[tuple[int, np.ndarray]] = []
+    ordered_kept = ordered_skipped = 0
+    for source, weight in graph.orbits:
+        d_g = dijkstra(graph, source)
+        d_s = np.hypot(
+            positions[:, 0] - positions[source, 0],
+            positions[:, 1] - positions[source, 1],
+        )
+        usable = np.isfinite(d_g) & (d_s > 0.0)  # d_s == 0 only at the source
+        row = d_s[usable] / d_g[usable]
+        kept.append((weight, row))
+        ordered_kept += weight * len(row)
+        ordered_skipped += weight * (n - 1 - len(row))
+    skipped = ordered_skipped // 2
     if strict and skipped:
         raise ValueError(f"{skipped} pair(s) unreachable or co-located")
-    if len(values) == 0:
+    if ordered_kept == 0:
         raise ValueError("no measurable pair in graph")
-    mean = float(values.mean())
-    std_dev = float(np.sqrt(np.mean((values - mean) ** 2)))
+    mean = sum(w * float(row.sum()) for w, row in kept) / ordered_kept
+    square_sum = sum(w * float(((row - mean) ** 2).sum()) for w, row in kept)
     return StraightnessSummary(
-        pair_count=len(values), mean=mean, std_dev=std_dev, skipped_pairs=skipped
+        pair_count=ordered_kept // 2,
+        mean=mean,
+        std_dev=math.sqrt(square_sum / ordered_kept),
+        skipped_pairs=skipped,
     )
 
 

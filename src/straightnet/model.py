@@ -10,6 +10,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+# Largest displacement, relative to the layout's extent, by which a declared
+# symmetry may miss a rigid motion of the node positions.
+RIGID_TOLERANCE = 1e-9
+
 
 class Point2D(NamedTuple):
     """Node position in the plane (unitless coordinates)."""
@@ -55,16 +59,26 @@ class NetworkGraph:
         Node positions, one per id, all coordinates finite.
     edges : sequence of (u, v)
         Unordered id pairs.  Self-loops and duplicate edges are rejected.
+    symmetries : sequence of node permutations, optional
+        Generators of a group of automorphisms: ``perm[i]`` is the image of
+        node ``i``.  Each must map the edge set onto itself and move the
+        positions by a rigid motion, so it preserves every crow-flies and
+        network distance.  The nodes split into the orbits of the group
+        they generate; see :attr:`orbits`.
 
     Raises
     ------
     ValueError
-        On duplicate positions, invalid ids, self-loops or repeated edges.
+        On duplicate positions, invalid ids, self-loops, repeated edges, or
+        a symmetry that is not a permutation, breaks an edge or is not a
+        rigid motion of the positions.
     """
 
-    __slots__ = ("_positions", "_edges", "_lengths", "_adjacency")
+    __slots__ = (
+        "_positions", "_edges", "_lengths", "_adjacency", "_symmetries", "_orbits"
+    )
 
-    def __init__(self, nodes, edges) -> None:
+    def __init__(self, nodes, edges, symmetries=()) -> None:
         # copy so freezing the array never affects a caller-owned buffer
         positions = np.atleast_2d(np.array(nodes, dtype=float))
         if positions.size == 0:
@@ -111,12 +125,16 @@ class NetworkGraph:
             adjacency[u].append((v, w))
             adjacency[v].append((u, w))
 
-        for arr in (positions, edge_arr, lengths):
+        perms = tuple(_check_symmetry(p, positions, pairs, known) for p in symmetries)
+
+        for arr in (positions, edge_arr, lengths, *perms):
             arr.setflags(write=False)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_edges", edge_arr)
         object.__setattr__(self, "_lengths", lengths)
         object.__setattr__(self, "_adjacency", tuple(tuple(a) for a in adjacency))
+        object.__setattr__(self, "_symmetries", perms)
+        object.__setattr__(self, "_orbits", _orbits(n, perms))
 
     def __setattr__(self, name, value):
         raise AttributeError("NetworkGraph is immutable")
@@ -149,6 +167,21 @@ class NetworkGraph:
         """Per-node tuple of ``(neighbor, edge_length)`` pairs."""
         return self._adjacency
 
+    @property
+    def symmetries(self) -> tuple[np.ndarray, ...]:
+        """Read-only node permutations generating the graph's symmetry group."""
+        return self._symmetries
+
+    @property
+    def orbits(self) -> tuple[tuple[int, int], ...]:
+        """``(representative, size)`` per orbit of the symmetry group.
+
+        The representative is the orbit's lowest node id; orbits come in
+        increasing representative order and their sizes sum to N.  Without
+        symmetries every node is its own orbit of size 1.
+        """
+        return self._orbits
+
     def point(self, node: int) -> Point2D:
         x, y = self._positions[node]
         return Point2D(float(x), float(y))
@@ -158,6 +191,56 @@ class NetworkGraph:
 
     def __repr__(self) -> str:
         return f"NetworkGraph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def _check_symmetry(perm, positions, pairs, known) -> np.ndarray:
+    """Validate one automorphism in O(N + E) and return it as an int array."""
+    n = len(positions)
+    perm = np.array(perm, dtype=np.int64)
+    if (
+        perm.shape != (n,)
+        or (n and (perm.min() < 0 or perm.max() >= n))
+        or not np.all(np.bincount(perm, minlength=n) == 1)
+    ):
+        raise ValueError(f"symmetry is not a permutation of the {n} node ids")
+    image = perm.tolist()
+    for u, v in pairs:
+        a, b = image[u], image[v]
+        if ((a, b) if a < b else (b, a)) not in known:
+            raise ValueError(f"symmetry maps edge ({u}, {v}) onto a non-edge ({a}, {b})")
+    # A permutation keeps the centroid, so a rigid motion fixes it and is
+    # the orthogonal map that best fits the centered points (Procrustes).
+    centered = positions - positions.mean(axis=0)
+    moved = centered[perm]
+    left, _, right = np.linalg.svd(centered.T @ moved)
+    residual = np.abs(centered @ (left @ right) - moved).max(initial=0.0)
+    if residual > RIGID_TOLERANCE * max(1.0, np.abs(centered).max(initial=0.0)):
+        raise ValueError(
+            f"symmetry is not a rigid motion of the positions (off by {residual:.3g})"
+        )
+    return perm
+
+
+def _orbits(n: int, perms) -> tuple[tuple[int, int], ...]:
+    """``(lowest id, size)`` per orbit of the group ``perms`` generate (union-find)."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for perm in perms:
+        for u, v in enumerate(perm.tolist()):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+    sizes: dict[int, int] = {}
+    for v in range(n):
+        root = find(v)
+        sizes[root] = sizes.get(root, 0) + 1
+    return tuple(sizes.items())
 
 
 def build_graph(nodes, edges) -> NetworkGraph:
@@ -173,7 +256,8 @@ def graph_to_json(graph: NetworkGraph) -> dict:
     """Portable dict form: node ids with coordinates plus edge id pairs.
 
     Edge lengths are intentionally not serialized; they are re-derived on
-    load so files cannot carry inconsistent geometry.
+    load so files cannot carry inconsistent geometry.  Symmetries are not
+    serialized either, so a loaded graph has none.
     """
     return {
         "nodes": [

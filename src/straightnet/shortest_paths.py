@@ -3,34 +3,11 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .model import NetworkGraph
-
-THREADS_ENV_VAR = "STRAIGHTNESS_THREADS"
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Effective parallelism, capped by the STRAIGHTNESS_THREADS env var.
-
-    0 (or unset) means auto-detect.  Results never depend on the worker
-    count; it only bounds concurrency.
-    """
-    if requested is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "0")
-        try:
-            requested = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if requested < 0:
-        raise ValueError("thread count must be >= 0")
-    if requested == 0:
-        return os.cpu_count() or 1
-    return requested
 
 
 def dijkstra(graph: NetworkGraph, source: int) -> np.ndarray:
@@ -61,18 +38,7 @@ def dijkstra(graph: NetworkGraph, source: int) -> np.ndarray:
     return np.asarray(dist)
 
 
-def all_pairs(graph: NetworkGraph, threads: int | None = None) -> np.ndarray:
-    """Full ``(N, N)`` geodesic distance matrix, row i = distances from i.
-
-    Rows are independent single-source runs and may be computed
-    concurrently; the result is assembled in source-id order, so the matrix
-    is identical for any worker count.
-    """
-    n = graph.node_count
-    workers = worker_count(threads)
-    if workers <= 1 or n <= 2:
-        rows = [dijkstra(graph, s) for s in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: dijkstra(graph, s), range(n)))
+def all_pairs(graph: NetworkGraph) -> np.ndarray:
+    """Full ``(N, N)`` geodesic distance matrix, row i = distances from i."""
+    rows = [dijkstra(graph, s) for s in range(graph.node_count)]
     return np.vstack(rows) if rows else np.zeros((0, 0))

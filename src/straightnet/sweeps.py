@@ -28,16 +28,14 @@ class SweepResult:
     wall_time_ms: int
 
 
-def _timed_summary(graph, threads):
+def _timed_summary(graph):
     start = time.perf_counter()
-    summary = summarize(graph, threads=threads)
+    summary = summarize(graph)
     elapsed_ms = max(0, int(round((time.perf_counter() - start) * 1000.0)))
     return summary, elapsed_ms
 
 
-def sweep_rectilinear(
-    sizes: Iterable[int], threads: int | None = None
-) -> list[SweepResult]:
+def sweep_rectilinear(sizes: Iterable[int]) -> list[SweepResult]:
     """All-pairs straightness of unit grids, one result per size."""
     results = []
     for size in sizes:
@@ -46,7 +44,7 @@ def sweep_rectilinear(
                 f"grid size {size} outside 1..{MAX_GRID_SWEEP_SIZE}"
             )
         graph = generate_rectilinear(GridSpec(size))
-        summary, elapsed_ms = _timed_summary(graph, threads)
+        summary, elapsed_ms = _timed_summary(graph)
         results.append(
             SweepResult({"squares_per_side": size}, summary, elapsed_ms)
         )
@@ -57,7 +55,6 @@ def sweep_radial(
     radii: Iterable[int],
     rings: Iterable[int],
     subdivision: int = DEFAULT_SWEEP_SUBDIVISION,
-    threads: int | None = None,
 ) -> list[SweepResult]:
     """All-pairs straightness of radio-concentric networks over (k, m)."""
     rings = list(rings)
@@ -66,7 +63,7 @@ def sweep_radial(
         for rings_count in rings:
             spec = RadialSpec(radii_count, rings_count, subdivision)
             graph = generate_radioconcentric(spec)
-            summary, elapsed_ms = _timed_summary(graph, threads)
+            summary, elapsed_ms = _timed_summary(graph)
             results.append(
                 SweepResult(
                     {"radii": radii_count, "rings": rings_count},

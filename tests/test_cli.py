@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from straightnet import load_graph
-from straightnet.cli import main
+from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
 from straightnet.tables import read_table
 
 
@@ -121,6 +122,35 @@ class TestSweeps:
 
     def test_bad_range_syntax(self, tmp_path):
         assert run_cli("sweep-rect", "--sizes", "5..1", "--out", tmp_path / "r.csv") == 1
+
+    def test_huge_range_rejected_with_message(self, tmp_path, capsys):
+        code = run_cli("sweep-rect", "--sizes", "1..1000000000000", "--out", tmp_path / "r.csv")
+        assert code == 1
+        assert f"more than {MAX_RANGE_VALUES} values" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+
+class TestParseRange:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("8", [8]), ("3..6", [3, 4, 5, 6]), ("1,2,5", [1, 2, 5]), (" 1, 3..4,", [1, 3, 4])],
+    )
+    def test_accepted_forms(self, text, expected):
+        assert _parse_range(text) == expected
+
+    @pytest.mark.parametrize("text", ["", ",", "5..1", "x", "1..y", "1...3"])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_range(text)
+
+    def test_huge_range_rejected_before_expansion(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+            _parse_range("1..1000000000000")
+
+    def test_limit_counts_every_part(self):
+        assert len(_parse_range(f"1..{MAX_RANGE_VALUES}")) == MAX_RANGE_VALUES
+        with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+            _parse_range(f"0,1..{MAX_RANGE_VALUES}")
 
 
 class TestStraightness:
@@ -244,11 +274,10 @@ class TestArgumentHandling:
 
 
 class TestDeterminism:
-    def test_outputs_identical_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_outputs_identical_across_repeated_runs(self, tmp_path):
         captured = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("STRAIGHTNESS_THREADS", threads)
-            base = tmp_path / threads
+        for run in ("1", "2"):
+            base = tmp_path / run
             base.mkdir()
             run_cli("gen", "rect", "--size", 3, "--out", base / "g.json")
             run_cli("curve", "--steps", 17, "--out-csv", base / "c.csv", "--out-svg", base / "c.svg")
@@ -256,11 +285,11 @@ class TestDeterminism:
             run_cli("sweep-radial", "--radii", "3..5", "--rings", "1..2", "--out", base / "sd.csv")
             run_cli("straightness", base / "g.json", "--pairs-csv", base / "p.csv")
             run_cli("plot", base / "c.csv", "--out", base / "plot.svg")
-            captured[threads] = {
+            captured[run] = {
                 name: (base / name).read_bytes()
                 for name in ("g.json", "c.csv", "c.svg", "sr.csv", "sd.csv", "p.csv", "plot.svg")
             }
-        assert captured["1"] == captured["4"]
+        assert captured["1"] == captured["2"]
 
 
 def test_console_entry_point():

@@ -172,3 +172,29 @@ class TestRadioconcentric:
         g = generate_radioconcentric(RadialSpec(9, 2))
         assert g.point(0) == (0.0, 0.0)
         assert len(g.neighbors(0)) == 9
+
+
+class TestSymmetryGroups:
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_grid_orbit_count(self, size):
+        half = (size + 2) // 2  # ceil(n / 2) with n = size + 1 nodes per side
+        g = generate_rectilinear(GridSpec(size))
+        assert len(g.orbits) == half * (half + 1) // 2
+
+    def test_grid_corners_form_one_orbit(self):
+        spec = GridSpec(6)
+        g = generate_rectilinear(spec)
+        assert dict(g.orbits)[grid_node_id(spec, 0, 0)] == 4
+        assert dict(g.orbits)[grid_node_id(spec, 3, 3)] == 1  # the center
+
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_wheel_orbit_count_and_sizes(self, k, m, q):
+        g = generate_radioconcentric(RadialSpec(k, m, q))
+        assert len(g.orbits) == 1 + m * (1 + q // 2)
+        # center alone; corners and side midpoints (on a mirror axis) in
+        # orbits of k; other side nodes paired with their mirror image, 2k
+        midpoints = 1 if q % 2 == 0 else 0
+        expected = [1] + [k] * m * (1 + midpoints) + [2 * k] * m * ((q - 1) // 2)
+        assert sorted(size for _, size in g.orbits) == sorted(expected)

@@ -12,10 +12,14 @@ from straightnet import (
     build_graph,
     center_curve_check,
     center_radial_check,
+    dijkstra,
     generate_radioconcentric,
     generate_rectilinear,
+    graph_from_json,
+    graph_to_json,
     grid_node_id,
     iter_pair_metrics,
+    metrics,
     pair_straightness,
     ring_node_id,
     side_node_id,
@@ -126,9 +130,60 @@ class TestSummarize:
 
     def test_repeat_runs_bit_identical(self):
         g = generate_radioconcentric(RadialSpec(6, 2, 2))
-        first = summarize(g, threads=1)
-        second = summarize(g, threads=4)
+        first = summarize(g)
+        second = summarize(g)
         assert first == second
+
+
+def generic_copy(graph):
+    """The same graph without symmetries, so summarize uses all N sources."""
+    return graph_from_json(graph_to_json(graph))
+
+
+def assert_same_summary(orbit, generic):
+    assert orbit.pair_count == generic.pair_count
+    assert orbit.skipped_pairs == generic.skipped_pairs
+    assert abs(orbit.mean - generic.mean) <= 1e-12
+    assert abs(orbit.std_dev - generic.std_dev) <= 1e-12
+
+
+def count_dijkstra_calls(monkeypatch, graph):
+    calls = []
+
+    def counting(g, source):
+        calls.append(source)
+        return dijkstra(g, source)
+
+    monkeypatch.setattr(metrics, "dijkstra", counting)
+    summarize(graph)
+    return calls
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_grid_matches_generic_path(self, size):
+        g = generate_rectilinear(GridSpec(size))
+        assert_same_summary(summarize(g), summarize(generic_copy(g)))
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_wheel_matches_generic_path(self, k):
+        for m in range(1, 4):
+            for q in range(1, 5):
+                g = generate_radioconcentric(RadialSpec(k, m, q))
+                assert_same_summary(summarize(g), summarize(generic_copy(g)))
+
+    def test_grid_runs_one_source_per_orbit(self, monkeypatch):
+        calls = count_dijkstra_calls(monkeypatch, generate_rectilinear(GridSpec(30)))
+        assert len(calls) == 136
+
+    @pytest.mark.parametrize("k, m", [(3, 1), (8, 2), (20, 5)])
+    def test_wheel_runs_one_source_per_orbit(self, monkeypatch, k, m):
+        g = generate_radioconcentric(RadialSpec(k, m, 4))
+        assert len(count_dijkstra_calls(monkeypatch, g)) == 1 + 3 * m
+
+    def test_imported_graph_runs_every_source(self, monkeypatch):
+        g = generic_copy(generate_rectilinear(GridSpec(4)))
+        assert count_dijkstra_calls(monkeypatch, g) == list(range(25))
 
 
 class TestInvariance:

@@ -121,6 +121,69 @@ def test_adjacency_is_symmetric():
             assert (u, w) in [(n, wt) for n, wt in g.neighbors(v)]
 
 
+class TestSymmetries:
+    # square ring 0-1-2-3 with the closing edge 3-0 missing
+    OPEN_RING_NODES = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    OPEN_RING_EDGES = [(0, 1), (1, 2), (2, 3)]
+
+    def test_no_symmetries_means_singleton_orbits(self):
+        g = build_graph(SQUARE_NODES, SQUARE_EDGES)
+        assert g.symmetries == ()
+        assert g.orbits == ((0, 1), (1, 1), (2, 1), (3, 1))
+
+    def test_orbits_of_declared_reflection(self):
+        # mirror of the open ring across y = 0.5 swaps 0<->3 and 1<->2
+        g = NetworkGraph(
+            self.OPEN_RING_NODES, self.OPEN_RING_EDGES, symmetries=[[3, 2, 1, 0]]
+        )
+        assert g.orbits == ((0, 2), (1, 2))
+        assert g.symmetries[0].tolist() == [3, 2, 1, 0]
+        assert not g.symmetries[0].flags.writeable
+
+    def test_rigid_rotation_that_breaks_an_edge_rejected(self):
+        # the quarter turn is a rigid motion but sends edge 2-3 to 3-0
+        with pytest.raises(ValueError, match="non-edge"):
+            NetworkGraph(
+                self.OPEN_RING_NODES, self.OPEN_RING_EDGES, symmetries=[[1, 2, 3, 0]]
+            )
+
+    @pytest.mark.parametrize("perm", [[0, 1, 2], [0, 0, 2, 3], [0, 1, 2, 4]])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            NetworkGraph(SQUARE_NODES, SQUARE_EDGES, symmetries=[perm])
+
+    def test_nudged_grid_node_rejected(self):
+        g = generate_rectilinear(GridSpec(4))
+        positions = g.positions.copy()
+        positions[7, 0] += 1e-6
+        with pytest.raises(ValueError, match="rigid motion"):
+            NetworkGraph(positions, g.edges, symmetries=g.symmetries)
+
+    def test_non_rigid_edge_preserving_map_rejected(self):
+        # a rectangle's quarter turn keeps the 4-cycle but not the lengths
+        nodes = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        with pytest.raises(ValueError, match="rigid motion"):
+            NetworkGraph(nodes, edges, symmetries=[[1, 2, 3, 0]])
+
+    @pytest.mark.parametrize(
+        "graph",
+        [generate_rectilinear(GridSpec(5)), generate_radioconcentric(RadialSpec(6, 2, 4))],
+        ids=["grid", "radial"],
+    )
+    def test_orbits_partition_the_nodes(self, graph):
+        assert sum(size for _, size in graph.orbits) == graph.node_count
+        reps = [rep for rep, _ in graph.orbits]
+        assert reps == sorted(reps) and reps[0] == 0
+
+    def test_json_round_trip_drops_symmetries(self):
+        g = generate_rectilinear(GridSpec(3))
+        restored = graph_from_json(graph_to_json(g))
+        assert len(g.symmetries) == 2
+        assert restored.symmetries == ()
+        assert len(restored.orbits) == restored.node_count
+
+
 class TestGraphJson:
     def test_dict_round_trip(self):
         g = generate_radioconcentric(RadialSpec(4, 2))

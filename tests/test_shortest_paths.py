@@ -14,35 +14,9 @@ from straightnet import (
     generate_rectilinear,
     grid_node_id,
     ring_node_id,
-    worker_count,
 )
 
 import oracles
-
-
-class TestWorkerCount:
-    def test_explicit_request(self):
-        assert worker_count(3) == 3
-
-    def test_zero_means_auto(self):
-        assert worker_count(0) >= 1
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("STRAIGHTNESS_THREADS", "5")
-        assert worker_count() == 5
-
-    def test_env_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("STRAIGHTNESS_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            worker_count(-1)
-
-    def test_junk_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("STRAIGHTNESS_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestDijkstra:
@@ -134,10 +108,6 @@ class TestAllPairs:
             for v in range(graph.node_count):
                 d_s = euclidean_distance(graph.point(u), graph.point(v))
                 assert distances[u, v] >= d_s - 1e-12
-
-    def test_worker_count_does_not_change_results(self):
-        g = generate_rectilinear(GridSpec(4))
-        assert np.array_equal(all_pairs(g, threads=1), all_pairs(g, threads=4))
 
     def test_relaxation_inequality_on_every_edge(self):
         g = generate_radioconcentric(RadialSpec(6, 2, 2))
