@@ -28,17 +28,14 @@ from .generators import (
 )
 from .metrics import (
     StraightnessSummary,
-    center_curve_check,
-    center_radial_check,
-    iter_pair_metrics,
     pair_straightness,
+    straightness_rows,
     summarize,
 )
 from .model import (
     NetworkGraph,
     Point2D,
     RouteMetrics,
-    build_graph,
     euclidean_distance,
     graph_from_json,
     graph_to_json,
@@ -54,6 +51,7 @@ from .sweeps import (
     sweep_rectilinear,
 )
 from .validation import CheckResult, run_all_checks
+from .validation import center_curve_check, center_radial_check
 
 __version__ = "0.1.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "SweepResult",
     "all_pairs",
     "analytic_curve",
-    "build_graph",
     "canonicalize",
     "center_curve_check",
     "center_radial_check",
@@ -83,7 +80,6 @@ __all__ = [
     "graph_from_json",
     "graph_to_json",
     "grid_node_id",
-    "iter_pair_metrics",
     "load_graph",
     "mesh_oracle_radial",
     "mesh_routes",
@@ -97,6 +93,7 @@ __all__ = [
     "side_node_id",
     "straightness_radial",
     "straightness_rectilinear",
+    "straightness_rows",
     "summarize",
     "sweep_radial",
     "sweep_rectilinear",

@@ -18,7 +18,7 @@ from .generators import (
     generate_radioconcentric,
     generate_rectilinear,
 )
-from .metrics import iter_pair_metrics, summarize
+from .metrics import straightness_rows, summarize
 from .model import load_graph, save_graph
 from .svgplot import Series, render_svg, series_from_table, write_svg
 from .sweeps import DEFAULT_SWEEP_SUBDIVISION, sweep_radial, sweep_rectilinear
@@ -152,7 +152,10 @@ def _cmd_sweep_radial(args) -> int:
 
 def _cmd_straightness(args) -> int:
     graph = load_graph(args.graph)
-    summary = summarize(graph, strict=args.strict)
+    rows = None  # orbit representatives; the pair table needs every node
+    if args.pairs_csv:
+        rows = write_pairs_csv(args.pairs_csv, straightness_rows(graph))
+    summary = summarize(graph, strict=args.strict, rows=rows)
     print(f"nodes:   {graph.node_count}")
     print(f"edges:   {graph.edge_count}")
     print(f"pairs:   {summary.pair_count}")
@@ -160,7 +163,6 @@ def _cmd_straightness(args) -> int:
     print(f"mean:    {summary.mean:.9f}")
     print(f"std_dev: {summary.std_dev:.9f}")
     if args.pairs_csv:
-        write_pairs_csv(args.pairs_csv, iter_pair_metrics(graph))
         print(f"pair table -> {args.pairs_csv}")
     return EXIT_OK
 

@@ -1,22 +1,15 @@
-"""Per-pair straightness, whole-graph aggregates and analytic cross-checks."""
+"""Per-pair straightness, the per-source row kernel and whole-graph aggregates."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .analytic import (
-    canonicalize,
-    sector_angle,
-    straightness_radial,
-    straightness_rectilinear,
-)
-from .generators import RadialSpec, ring_node_id, side_node_id
 from .model import NetworkGraph, RouteMetrics
-from .shortest_paths import all_pairs, dijkstra
+from .shortest_paths import dijkstra
 
 
 @dataclass(frozen=True)
@@ -41,128 +34,73 @@ def pair_straightness(
     """Route metrics for one pair, using a precomputed all-pairs matrix."""
     if u == v:
         raise ValueError("straightness of a node with itself is undefined")
-    d_spatial = float(
-        math.hypot(*(graph.positions[u] - graph.positions[v]))
-    )
+    d_spatial = math.hypot(*(graph.positions[u] - graph.positions[v]))
     d_geodesic = float(distances[u, v])
     if not math.isfinite(d_geodesic) or d_spatial == 0.0:
         return RouteMetrics(u, v, d_spatial, d_geodesic, math.nan, skipped=True)
     return RouteMetrics(u, v, d_spatial, d_geodesic, d_spatial / d_geodesic)
 
 
-def iter_pair_metrics(graph: NetworkGraph) -> Iterator[RouteMetrics]:
-    """All unordered pairs in canonical ``(min id, max id)`` order."""
-    distances = all_pairs(graph)
-    for u in range(graph.node_count - 1):
-        for v in range(u + 1, graph.node_count):
-            yield pair_straightness(graph, distances, u, v)
+def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
+    """``(source, weight, d_spatial, d_geodesic, straightness)`` per source.
 
-
-def summarize(graph: NetworkGraph, strict: bool = False) -> StraightnessSummary:
-    """Mean and standard deviation of straightness over all node pairs.
-
-    Runs Dijkstra from one representative per orbit of the graph's symmetry
-    group (every node, for a graph without symmetries) and weights the
-    representative's row of ordered-pair values by its orbit size: a
-    symmetry preserves both distances, so every node of an orbit sees the
-    same values.  The weighted two-pass aggregate over the kept rows runs
-    in a fixed order, so repeated runs are bit-identical.  Ordered counts
-    are halved into unordered pairs.  With ``strict`` any skipped pair
-    raises instead of being counted.
+    One Dijkstra run per ``(source, weight)`` in ``sources`` (default: every
+    node, weight 1).  Arrays run over all targets; straightness is ``nan``
+    for unreachable or co-located pairs, so always at the source itself.
     """
-    n = graph.node_count
-    if n < 2:
-        raise ValueError("need at least 2 nodes to aggregate pair straightness")
+    if sources is None:
+        sources = ((v, 1) for v in range(graph.node_count))
     positions = graph.positions
-    kept: list[tuple[int, np.ndarray]] = []
-    ordered_kept = ordered_skipped = 0
-    for source, weight in graph.orbits:
+    for source, weight in sources:
         d_g = dijkstra(graph, source)
         d_s = np.hypot(
             positions[:, 0] - positions[source, 0],
             positions[:, 1] - positions[source, 1],
         )
-        usable = np.isfinite(d_g) & (d_s > 0.0)  # d_s == 0 only at the source
-        row = d_s[usable] / d_g[usable]
+        ratio = np.full(len(d_g), math.nan)
+        np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))
+        yield source, weight, d_s, d_g, ratio
+
+
+def summarize(
+    graph: NetworkGraph, strict: bool = False, rows: Iterable[tuple] | None = None
+) -> StraightnessSummary:
+    """Mean and standard deviation of straightness over all node pairs.
+
+    Folds :func:`straightness_rows`, by default one per orbit of the graph's
+    symmetry group, weighted by orbit size: a symmetry preserves both
+    distances, so every node of an orbit sees the same values.  ``rows``
+    replaces them, e.g. with a pair-table writer over every node's row
+    (weights summing to N).  The weighted two-pass aggregate runs in a fixed
+    order, so repeated runs are bit-identical; ordered counts are halved.
+
+    Positions are distinct and path lengths finite, so the skipped pairs are
+    those between connected components.  With ``strict`` a graph that has
+    any raises, as does a graph without edges, before ``rows`` is read.
+    """
+    n = graph.node_count
+    if n < 2:
+        raise ValueError("need at least 2 nodes to aggregate pair straightness")
+    if strict:
+        crossing = (n * n - sum(size * size for _, size in graph.components())) // 2
+        if crossing:
+            raise ValueError(f"{crossing} pair(s) unreachable or co-located")
+    if graph.edge_count == 0:
+        raise ValueError("no measurable pair in graph")
+    if rows is None:
+        rows = straightness_rows(graph, graph.orbits)
+    kept: list[tuple[int, np.ndarray]] = []
+    ordered_kept = ordered_skipped = 0
+    for _, weight, _, _, ratio in rows:
+        row = ratio[~np.isnan(ratio)]
         kept.append((weight, row))
         ordered_kept += weight * len(row)
         ordered_skipped += weight * (n - 1 - len(row))
-    skipped = ordered_skipped // 2
-    if strict and skipped:
-        raise ValueError(f"{skipped} pair(s) unreachable or co-located")
-    if ordered_kept == 0:
-        raise ValueError("no measurable pair in graph")
     mean = sum(w * float(row.sum()) for w, row in kept) / ordered_kept
     square_sum = sum(w * float(((row - mean) ** 2).sum()) for w, row in kept)
     return StraightnessSummary(
         pair_count=ordered_kept // 2,
         mean=mean,
         std_dev=math.sqrt(square_sum / ordered_kept),
-        skipped_pairs=skipped,
+        skipped_pairs=ordered_skipped // 2,
     )
-
-
-def center_curve_check(graph: NetworkGraph) -> float:
-    """Largest gap between measured and closed-form grid straightness.
-
-    Expects a generated grid.  Measures straightness from corner node 0 to
-    every other node with Dijkstra distances and compares against the
-    closed form evaluated at each node's direction.  The corner quadrant is
-    fully general thanks to rotation symmetry.
-    """
-    row = dijkstra(graph, 0)
-    positions = graph.positions
-    worst = 0.0
-    for node in range(1, graph.node_count):
-        x, y = positions[node]
-        measured = math.hypot(x, y) / row[node]
-        expected = straightness_rectilinear(math.atan2(y, x))
-        worst = max(worst, abs(measured - expected))
-    return worst
-
-
-def center_radial_check(
-    graph: NetworkGraph, spec: RadialSpec
-) -> tuple[float, float]:
-    """Measured vs. closed-form straightness from the center, per ring.
-
-    Needs ``side_subdivision >= 2`` so destinations exist strictly between
-    spokes, where the closed form is informative.  Returns
-    ``(max_formula_deviation, max_ring_spread)``: the worst disagreement
-    with the reduced closed form over all corner and subdivision nodes, and
-    the worst spread of the measured value across rings for the same
-    angular offset (which the scaling argument says must vanish).
-    """
-    if spec.side_subdivision < 2:
-        raise ValueError("check needs side_subdivision >= 2")
-    k = spec.radii_count
-    theta = sector_angle(k)
-    row = dijkstra(graph, 0)
-    positions = graph.positions
-
-    def measured_straightness(node: int) -> float:
-        x, y = positions[node]
-        return math.hypot(x, y) / row[node]
-
-    worst_formula = 0.0
-    for ring in range(1, spec.rings_count + 1):
-        for radius in range(k):
-            node = ring_node_id(spec, ring, radius)
-            # Corner nodes sit on a spoke: the reduced direction is 0.
-            worst_formula = max(worst_formula, abs(measured_straightness(node) - 1.0))
-
-    worst_spread = 0.0
-    for side in range(k):
-        for step in range(1, spec.side_subdivision):
-            across_rings = []
-            for ring in range(1, spec.rings_count + 1):
-                node = side_node_id(spec, ring, side, step)
-                x, y = positions[node]
-                measured = measured_straightness(node)
-                expected = straightness_radial(
-                    k, canonicalize(theta, math.atan2(y, x))
-                )
-                worst_formula = max(worst_formula, abs(measured - expected))
-                across_rings.append(measured)
-            worst_spread = max(worst_spread, max(across_rings) - min(across_rings))
-    return worst_formula, worst_spread

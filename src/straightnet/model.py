@@ -69,9 +69,9 @@ class NetworkGraph:
     Raises
     ------
     ValueError
-        On duplicate positions, invalid ids, self-loops, repeated edges, or
-        a symmetry that is not a permutation, breaks an edge or is not a
-        rigid motion of the positions.
+        On duplicate positions, invalid ids, self-loops, repeated edges,
+        edge lengths whose total overflows, or a symmetry that is not a
+        permutation, breaks an edge or is not a rigid motion of the positions.
     """
 
     __slots__ = (
@@ -118,6 +118,8 @@ class NetworkGraph:
             lengths = np.hypot(du[:, 0], du[:, 1])
         else:
             lengths = np.zeros(0)
+        if not math.isfinite(sum(lengths.tolist())):
+            raise ValueError("edge lengths overflow: their total is not finite")
 
         adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for (u, v), w in zip(pairs, lengths):
@@ -134,7 +136,8 @@ class NetworkGraph:
         object.__setattr__(self, "_lengths", lengths)
         object.__setattr__(self, "_adjacency", tuple(tuple(a) for a in adjacency))
         object.__setattr__(self, "_symmetries", perms)
-        object.__setattr__(self, "_orbits", _orbits(n, perms))
+        links = ((u, v) for p in perms for u, v in enumerate(p.tolist()))
+        object.__setattr__(self, "_orbits", _classes(n, links))
 
     def __setattr__(self, name, value):
         raise AttributeError("NetworkGraph is immutable")
@@ -182,6 +185,10 @@ class NetworkGraph:
         """
         return self._orbits
 
+    def components(self) -> tuple[tuple[int, int], ...]:
+        """``(lowest id, size)`` per connected component, like :attr:`orbits`."""
+        return _classes(self.node_count, self._edges.tolist())
+
     def point(self, node: int) -> Point2D:
         x, y = self._positions[node]
         return Point2D(float(x), float(y))
@@ -221,8 +228,8 @@ def _check_symmetry(perm, positions, pairs, known) -> np.ndarray:
     return perm
 
 
-def _orbits(n: int, perms) -> tuple[tuple[int, int], ...]:
-    """``(lowest id, size)`` per orbit of the group ``perms`` generate (union-find)."""
+def _classes(n: int, links) -> tuple[tuple[int, int], ...]:
+    """``(lowest id, size)`` per class the ``(u, v)`` links join (union-find)."""
     parent = list(range(n))
 
     def find(v: int) -> int:
@@ -231,25 +238,15 @@ def _orbits(n: int, perms) -> tuple[tuple[int, int], ...]:
             v = parent[v]
         return v
 
-    for perm in perms:
-        for u, v in enumerate(perm.tolist()):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
+    for u, v in links:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
     sizes: dict[int, int] = {}
     for v in range(n):
         root = find(v)
         sizes[root] = sizes.get(root, 0) + 1
     return tuple(sizes.items())
-
-
-def build_graph(nodes, edges) -> NetworkGraph:
-    """Validate and assemble a :class:`NetworkGraph`.
-
-    Thin constructor wrapper kept as the conventional entry point; see
-    :class:`NetworkGraph` for the accepted input and raised errors.
-    """
-    return NetworkGraph(nodes, edges)
 
 
 def graph_to_json(graph: NetworkGraph) -> dict:
@@ -296,7 +293,7 @@ def graph_from_json(data: dict) -> NetworkGraph:
             edges.append((int(entry["u"]), int(entry["v"])))
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"malformed edge entry: {entry!r}") from exc
-    return build_graph(nodes, edges)
+    return NetworkGraph(nodes, edges)
 
 
 def save_graph(graph: NetworkGraph, path) -> None:

@@ -9,10 +9,10 @@ platform.
 from __future__ import annotations
 
 import csv
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .model import RouteMetrics
 from .sweeps import SweepResult
 
 CURVE_HEADER = ["alpha", "straightness", "network", "k"]
@@ -77,18 +77,19 @@ def write_radial_sweep_csv(path, results: Iterable[SweepResult]) -> None:
     _write_rows(path, RADIAL_SWEEP_HEADER, rows)
 
 
-def write_pairs_csv(path, metrics: Iterable[RouteMetrics]) -> None:
-    rows = [
-        [
-            m.source,
-            m.target,
-            format_angle(m.d_spatial),
-            format_angle(m.d_geodesic),
-            format_ratio(m.straightness),
-        ]
-        for m in metrics
-    ]
-    _write_rows(path, PAIRS_HEADER, rows)
+def write_pairs_csv(path, rows: Iterable[tuple]) -> Iterator[tuple]:
+    """Pass :func:`~straightnet.metrics.straightness_rows` rows on, writing each.
+
+    ``path`` is opened when the first row is asked for.  Source ``u`` adds
+    its ``v > u`` pairs, so rows of every node in id order give all pairs.
+    """
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(PAIRS_HEADER) + "\n")
+        for row in rows:
+            u, _, *columns = row  # d_spatial, d_geodesic, straightness
+            pairs = zip(count(u + 1), *(c[u + 1:].tolist() for c in columns))
+            fh.write("".join(map(f"{u},%d,%.12g,%.12g,%.9g\n".__mod__, pairs)))
+            yield row
 
 
 def read_table(path) -> tuple[list[str], list[dict[str, str]]]:

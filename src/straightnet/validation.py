@@ -14,8 +14,10 @@ from .analytic import (
     straightness_radial,
     straightness_rectilinear,
 )
-from .generators import RadialSpec, generate_radioconcentric, generate_rectilinear, GridSpec
-from .metrics import center_curve_check, center_radial_check
+from .generators import GridSpec, RadialSpec, ring_node_id, side_node_id
+from .generators import generate_radioconcentric, generate_rectilinear
+from .model import NetworkGraph
+from .shortest_paths import dijkstra
 
 TRIG_TOLERANCE = 1e-12  # pure trigonometric identities
 GEOMETRY_TOLERANCE = 1e-9  # coordinate constructions vs. closed forms
@@ -31,6 +33,68 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance
+
+
+def center_curve_check(graph: NetworkGraph) -> float:
+    """Largest gap between measured and closed-form grid straightness.
+
+    Expects a generated grid.  Measures straightness from corner node 0 to
+    every other node with Dijkstra distances and compares against the
+    closed form evaluated at each node's direction.  The corner quadrant is
+    fully general thanks to rotation symmetry.
+    """
+    row = dijkstra(graph, 0)
+    positions = graph.positions
+    worst = 0.0
+    for node in range(1, graph.node_count):
+        x, y = positions[node]
+        measured = math.hypot(x, y) / row[node]
+        expected = straightness_rectilinear(math.atan2(y, x))
+        worst = max(worst, abs(measured - expected))
+    return worst
+
+
+def center_radial_check(graph: NetworkGraph, spec: RadialSpec) -> tuple[float, float]:
+    """Measured vs. closed-form straightness from the center, per ring.
+
+    Needs ``side_subdivision >= 2`` so destinations exist strictly between
+    spokes, where the closed form is informative.  Returns
+    ``(max_formula_deviation, max_ring_spread)``: the worst disagreement
+    with the reduced closed form over all corner and subdivision nodes, and
+    the worst spread of the measured value across rings for the same
+    angular offset (which the scaling argument says must vanish).
+    """
+    if spec.side_subdivision < 2:
+        raise ValueError("check needs side_subdivision >= 2")
+    k = spec.radii_count
+    theta = sector_angle(k)
+    row = dijkstra(graph, 0)
+    positions = graph.positions
+
+    def measured_straightness(node: int) -> float:
+        x, y = positions[node]
+        return math.hypot(x, y) / row[node]
+
+    worst_formula = 0.0
+    for ring in range(1, spec.rings_count + 1):
+        for radius in range(k):
+            node = ring_node_id(spec, ring, radius)
+            # Corner nodes sit on a spoke: the reduced direction is 0.
+            worst_formula = max(worst_formula, abs(measured_straightness(node) - 1.0))
+
+    worst_spread = 0.0
+    for side in range(k):
+        for step in range(1, spec.side_subdivision):
+            across_rings = []
+            for ring in range(1, spec.rings_count + 1):
+                node = side_node_id(spec, ring, side, step)
+                x, y = positions[node]
+                measured = measured_straightness(node)
+                expected = straightness_radial(k, canonicalize(theta, math.atan2(y, x)))
+                worst_formula = max(worst_formula, abs(measured - expected))
+                across_rings.append(measured)
+            worst_spread = max(worst_spread, max(across_rings) - min(across_rings))
+    return worst_formula, worst_spread
 
 
 def check_symmetry(samples_per_k: int = 334, max_radii: int = 32) -> CheckResult:

@@ -15,6 +15,15 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def write_graph_json(path, nodes, edges):
+    data = {
+        "nodes": [{"id": i, "x": x, "y": y} for i, (x, y) in enumerate(nodes)],
+        "edges": [{"u": u, "v": v} for u, v in edges],
+    }
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
 class TestGen:
     def test_rect(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
@@ -200,6 +209,62 @@ class TestStraightness:
         )
         assert run_cli("straightness", path) == 0
         assert run_cli("straightness", path, "--strict") == 1
+
+    def test_disconnected_graph_dump(self, tmp_path, capsys):
+        path = write_graph_json(
+            tmp_path / "parts.json",
+            [(0, 0), (1, 0), (9, 9), (9, 10.5)],
+            [(0, 1), (2, 3)],
+        )
+        pairs_path = tmp_path / "pairs.csv"
+        assert run_cli("straightness", path, "--pairs-csv", pairs_path) == 0
+        assert capsys.readouterr().out == (
+            "nodes:   4\nedges:   2\npairs:   2\nskipped: 4\n"
+            "mean:    1.000000000\nstd_dev: 0.000000000\n"
+            f"pair table -> {pairs_path}\n"
+        )
+        assert pairs_path.read_bytes() == (
+            b"u,v,d_spatial,d_geodesic,straightness\n"
+            b"0,1,1,1,1\n"
+            b"0,2,12.7279220614,inf,nan\n"
+            b"0,3,13.8293166859,inf,nan\n"
+            b"1,2,12.0415945788,inf,nan\n"
+            b"1,3,13.2003787824,inf,nan\n"
+            b"2,3,1.5,1.5,1\n"
+        )
+
+    def test_strict_dump_fails_without_writing_the_table(self, tmp_path, capsys):
+        path = write_graph_json(tmp_path / "parts.json", [(0, 0), (1, 0), (5, 5)], [(0, 1)])
+        pairs_path = tmp_path / "pairs.csv"
+        code = run_cli("straightness", path, "--strict", "--pairs-csv", pairs_path)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "straightnet: 2 pair(s) unreachable or co-located\n"
+        assert captured.out == ""
+        assert not pairs_path.exists()
+
+    def test_edgeless_dump_fails_without_writing_the_table(self, tmp_path, capsys):
+        path = write_graph_json(tmp_path / "dots.json", [(0, 0), (1, 0)], [])
+        pairs_path = tmp_path / "pairs.csv"
+        assert run_cli("straightness", path, "--pairs-csv", pairs_path) == 1
+        assert "no measurable pair" in capsys.readouterr().err
+        assert not pairs_path.exists()
+
+    def test_dump_runs_one_dijkstra_per_node(self, tmp_path, monkeypatch):
+        from straightnet import dijkstra, metrics, shortest_paths
+
+        graph_path = tmp_path / "grid.json"
+        run_cli("gen", "rect", "--size", 5, "--out", graph_path)
+        calls = []
+
+        def counting(graph, source):
+            calls.append(source)
+            return dijkstra(graph, source)
+
+        for module in (metrics, shortest_paths):  # every binding of dijkstra
+            monkeypatch.setattr(module, "dijkstra", counting)
+        assert run_cli("straightness", graph_path, "--pairs-csv", tmp_path / "p.csv") == 0
+        assert calls == list(range(36))
 
 
 class TestValidate:

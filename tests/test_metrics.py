@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from straightnet import (
     GridSpec,
+    NetworkGraph,
     RadialSpec,
     all_pairs,
-    build_graph,
     center_curve_check,
     center_radial_check,
     dijkstra,
@@ -18,13 +18,14 @@ from straightnet import (
     graph_from_json,
     graph_to_json,
     grid_node_id,
-    iter_pair_metrics,
     metrics,
     pair_straightness,
     ring_node_id,
     side_node_id,
+    straightness_rows,
     summarize,
 )
+from straightnet.tables import format_angle, format_ratio, read_table, write_pairs_csv
 
 import oracles
 
@@ -32,7 +33,7 @@ SQRT7_OVER_1_PLUS_SQRT3 = math.sqrt(7.0) / (1.0 + math.sqrt(3.0))  # 0.968412191
 
 
 def scaled_copy(graph, factor):
-    return build_graph(graph.positions * factor, graph.edges.tolist())
+    return NetworkGraph(graph.positions * factor, graph.edges.tolist())
 
 
 class TestPairStraightness:
@@ -69,7 +70,7 @@ class TestPairStraightness:
             pair_straightness(g, all_pairs(g), 2, 2)
 
     def test_unreachable_pair_is_skipped(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
+        g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
         m = pair_straightness(g, all_pairs(g), 0, 2)
         assert m.skipped
         assert math.isinf(m.d_geodesic)
@@ -106,7 +107,7 @@ class TestSummarize:
         assert summary.mean == 1.0
 
     def test_pair_count_bookkeeping(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
+        g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
         summary = summarize(g)
         assert summary.pair_count == 1
         assert summary.skipped_pairs == 2
@@ -114,13 +115,13 @@ class TestSummarize:
         assert summary.pair_count + summary.skipped_pairs == n * (n - 1) // 2
 
     def test_strict_mode_rejects_skips(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
+        g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
         with pytest.raises(ValueError, match="unreachable"):
             summarize(g, strict=True)
 
     def test_too_small_graph_rejected(self):
         with pytest.raises(ValueError):
-            summarize(build_graph([(0.0, 0.0)], []))
+            summarize(NetworkGraph([(0.0, 0.0)], []))
 
     def test_population_std_dev(self):
         g = generate_rectilinear(GridSpec(1))
@@ -202,16 +203,98 @@ class TestInvariance:
         rotation = np.array(
             [[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]]
         )
-        moved = build_graph(g.positions @ rotation + [3.0, -2.0], g.edges.tolist())
+        moved = NetworkGraph(g.positions @ rotation + [3.0, -2.0], g.edges.tolist())
         reference, transformed = summarize(g), summarize(moved)
         assert transformed.mean == pytest.approx(reference.mean, abs=1e-9)
         assert transformed.std_dev == pytest.approx(reference.std_dev, abs=1e-9)
 
-    def test_pair_enumeration_is_canonical(self):
+    def test_pair_enumeration_is_canonical(self, tmp_path):
         g = generate_rectilinear(GridSpec(2))
-        pairs = [(m.source, m.target) for m in iter_pair_metrics(g)]
-        assert pairs == sorted(pairs)
-        assert len(pairs) == 36
+        path = tmp_path / "pairs.csv"
+        summarize(g, rows=write_pairs_csv(path, straightness_rows(g)))
+        _, rows = read_table(path)
+        pairs = [(int(r["u"]), int(r["v"])) for r in rows]
+        assert pairs == [(u, v) for u in range(9) for v in range(u + 1, 9)]
+
+
+def dump_pairs(graph, path):
+    """The pair table the ``straightness --pairs-csv`` command writes."""
+    summary = summarize(graph, rows=write_pairs_csv(path, straightness_rows(graph)))
+    return summary, path.read_bytes()
+
+
+SMALL_GRAPHS = {
+    "unit square": lambda: generate_rectilinear(GridSpec(1)),
+    "square wheel": lambda: generate_radioconcentric(RadialSpec(4, 1)),
+    "two-ring triangle wheel": lambda: generate_radioconcentric(RadialSpec(3, 2)),
+    "subdivided wheel": lambda: generate_radioconcentric(RadialSpec(3, 1, 2)),
+    "3x3 grid": lambda: generate_rectilinear(GridSpec(2)),
+    "two parts": lambda: NetworkGraph(
+        [(0.0, 0.0), (1.0, 0.0), (9.0, 9.0), (9.0, 10.5), (7.0, 11.0)],
+        [(0, 1), (2, 3), (3, 4), (2, 4)],
+    ),
+}
+
+
+class TestPairDump:
+    @pytest.mark.parametrize("name", SMALL_GRAPHS)
+    def test_small_graphs_match_all_pairs_and_oracle(self, tmp_path, name):
+        g = SMALL_GRAPHS[name]()
+        assert g.node_count <= 10
+        _, data = dump_pairs(g, tmp_path / "pairs.csv")
+        lines = data.decode().splitlines()[1:]
+        distances = all_pairs(g)
+        expected = []
+        for u in range(g.node_count):
+            for v in range(u + 1, g.node_count):
+                m = pair_straightness(g, distances, u, v)
+                expected.append(
+                    f"{u},{v},{format_angle(m.d_spatial)},"
+                    f"{format_angle(m.d_geodesic)},{format_ratio(m.straightness)}"
+                )
+        assert lines == expected
+        for line in lines:
+            u, v, _, d_geodesic, straightness = line.split(",")
+            u, v = int(u), int(v)
+            oracle = oracles.enumerated_geodesic(g, u, v)
+            assert float(d_geodesic) == pytest.approx(oracle, rel=1e-11)
+            if math.isfinite(oracle):
+                expected_ratio = oracles.enumerated_pair_straightness(g, u, v)
+                assert float(straightness) == pytest.approx(expected_ratio, rel=1e-8)
+            else:
+                assert straightness == "nan"
+
+    @pytest.mark.parametrize("size", [1, 4, 7])
+    def test_symmetric_grid_dumps_like_its_json_round_trip(self, tmp_path, size):
+        g = generate_rectilinear(GridSpec(size))
+        assert len(g.orbits) < g.node_count
+        summary, data = dump_pairs(g, tmp_path / "grid.csv")
+        assert (summary, data) == dump_pairs(generic_copy(g), tmp_path / "copy.csv")
+        assert data.count(b"\n") == 1 + g.node_count * (g.node_count - 1) // 2
+
+    def test_symmetric_grid_dump_runs_every_source(self, monkeypatch, tmp_path):
+        g = generate_rectilinear(GridSpec(4))
+        calls = []
+
+        def counting(graph, source):
+            calls.append(source)
+            return dijkstra(graph, source)
+
+        monkeypatch.setattr(metrics, "dijkstra", counting)
+        dump_pairs(g, tmp_path / "pairs.csv")
+        assert calls == list(range(25))
+
+    def test_dump_summary_is_the_generic_summary(self, tmp_path):
+        g = graph_from_json(graph_to_json(generate_radioconcentric(RadialSpec(5, 2, 3))))
+        summary, _ = dump_pairs(g, tmp_path / "pairs.csv")
+        assert summary == summarize(g)
+
+    def test_strict_failure_never_opens_the_table(self, tmp_path):
+        g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
+        path = tmp_path / "pairs.csv"
+        with pytest.raises(ValueError, match="^2 pair"):
+            summarize(g, strict=True, rows=write_pairs_csv(path, straightness_rows(g)))
+        assert not path.exists()
 
 
 class TestCenterCurveCheck:
@@ -276,7 +359,7 @@ class TestCenterRadialCheck:
             chain += [base + side * (q - 1) + (s - 1) for s in range(1, q)]
             chain.append(1 + (side + 1) % k)
             edges.extend(zip(chain, chain[1:]))
-        arc_graph = build_graph(nodes, edges)
+        arc_graph = NetworkGraph(nodes, edges)
         formula_dev, _ = center_radial_check(arc_graph, spec)
         assert formula_dev > 1e-3
 

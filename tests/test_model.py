@@ -7,7 +7,6 @@ import pytest
 from straightnet import (
     NetworkGraph,
     Point2D,
-    build_graph,
     euclidean_distance,
     generate_radioconcentric,
     generate_rectilinear,
@@ -47,54 +46,67 @@ class TestEuclideanDistance:
 
 class TestBuildGraph:
     def test_single_edge(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0)], [(0, 1)])
+        g = NetworkGraph([(0.0, 0.0), (1.0, 0.0)], [(0, 1)])
         assert g.node_count == 2
         assert g.edge_count == 1
         assert g.edge_lengths[0] == 1.0
 
     def test_unit_square(self):
-        g = build_graph(SQUARE_NODES, SQUARE_EDGES)
+        g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
         assert g.edge_count == 4
         assert np.allclose(g.edge_lengths, 1.0)
 
     def test_duplicate_position_rejected(self):
         with pytest.raises(ValueError, match="share the position"):
-            build_graph([(0.0, 0.0), (0.0, 0.0)], [])
+            NetworkGraph([(0.0, 0.0), (0.0, 0.0)], [])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            build_graph(SQUARE_NODES, [(1, 1)])
+            NetworkGraph(SQUARE_NODES, [(1, 1)])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate edge"):
-            build_graph(SQUARE_NODES, [(0, 1), (1, 0)])
+            NetworkGraph(SQUARE_NODES, [(0, 1), (1, 0)])
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(ValueError, match="unknown node id"):
-            build_graph(SQUARE_NODES, [(0, 7)])
+            NetworkGraph(SQUARE_NODES, [(0, 7)])
 
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            build_graph([(0.0, 0.0), (math.inf, 1.0)], [])
+            NetworkGraph([(0.0, 0.0), (math.inf, 1.0)], [])
 
     def test_edges_normalized_low_id_first(self):
-        g = build_graph(SQUARE_NODES, [(3, 1), (2, 0)])
+        g = NetworkGraph(SQUARE_NODES, [(3, 1), (2, 0)])
         assert g.edges.tolist() == [[1, 3], [0, 2]]
 
     def test_isolated_node_allowed(self):
-        g = build_graph([(0.0, 0.0), (5.0, 5.0)], [])
+        g = NetworkGraph([(0.0, 0.0), (5.0, 5.0)], [])
         assert g.node_count == 2
         assert g.edge_count == 0
+
+    def test_overflowing_edge_lengths_rejected(self):
+        # each length is finite, but a path over both is not
+        with pytest.raises(ValueError, match="overflow"):
+            NetworkGraph([(0.0, 0.0), (1e308, 0.0), (-1e308, 0.0)], [(0, 1), (0, 2)])
+
+    def test_components(self):
+        g = NetworkGraph(
+            [(0.0, 0.0), (5.0, 5.0), (1.0, 0.0), (6.0, 5.0), (9.0, 0.0)],
+            [(1, 3), (0, 2)],
+        )
+        assert g.components() == ((0, 2), (1, 2), (4, 1))
+        assert NetworkGraph(SQUARE_NODES, SQUARE_EDGES).components() == ((0, 4),)
 
 
 class TestImmutability:
     def test_positions_not_writable(self):
-        g = build_graph(SQUARE_NODES, SQUARE_EDGES)
+        g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
         with pytest.raises(ValueError):
             g.positions[0, 0] = 9.0
 
     def test_attributes_frozen(self):
-        g = build_graph(SQUARE_NODES, SQUARE_EDGES)
+        g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
         with pytest.raises(AttributeError):
             g.positions = None
 
@@ -115,7 +127,7 @@ def test_edge_lengths_match_endpoint_distances(graph):
 
 
 def test_adjacency_is_symmetric():
-    g = build_graph(SQUARE_NODES, SQUARE_EDGES)
+    g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
     for u in range(g.node_count):
         for v, w in g.neighbors(u):
             assert (u, w) in [(n, wt) for n, wt in g.neighbors(v)]
@@ -127,7 +139,7 @@ class TestSymmetries:
     OPEN_RING_EDGES = [(0, 1), (1, 2), (2, 3)]
 
     def test_no_symmetries_means_singleton_orbits(self):
-        g = build_graph(SQUARE_NODES, SQUARE_EDGES)
+        g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
         assert g.symmetries == ()
         assert g.orbits == ((0, 1), (1, 1), (2, 1), (3, 1))
 
@@ -192,7 +204,7 @@ class TestGraphJson:
         assert np.array_equal(restored.edges, g.edges)
 
     def test_lengths_never_serialized(self):
-        data = graph_to_json(build_graph(SQUARE_NODES, SQUARE_EDGES))
+        data = graph_to_json(NetworkGraph(SQUARE_NODES, SQUARE_EDGES))
         assert set(data["nodes"][0]) == {"id", "x", "y"}
         assert set(data["edges"][0]) == {"u", "v"}
 
@@ -234,7 +246,7 @@ class TestGraphJson:
             load_graph(path)
 
     def test_id_order_in_file_is_irrelevant(self):
-        g = build_graph(SQUARE_NODES, SQUARE_EDGES)
+        g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
         data = graph_to_json(g)
         data["nodes"].reverse()
         restored = graph_from_json(data)

@@ -5,9 +5,9 @@ import pytest
 
 from straightnet import (
     GridSpec,
+    NetworkGraph,
     RadialSpec,
     all_pairs,
-    build_graph,
     dijkstra,
     euclidean_distance,
     generate_radioconcentric,
@@ -50,7 +50,7 @@ class TestDijkstra:
             dijkstra(g, -1)
 
     def test_unreachable_marked_infinite(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], [(0, 1)])
+        g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], [(0, 1)])
         row = dijkstra(g, 0)
         assert row[1] == 1.0
         assert math.isinf(row[2])
@@ -58,7 +58,7 @@ class TestDijkstra:
 
 class TestAllPairs:
     def test_single_node(self):
-        g = build_graph([(0.0, 0.0)], [])
+        g = NetworkGraph([(0.0, 0.0)], [])
         assert all_pairs(g).tolist() == [[0.0]]
 
     def test_unit_square_matrix_symmetric(self):
@@ -82,7 +82,7 @@ class TestAllPairs:
             generate_rectilinear(GridSpec(1)),
             generate_radioconcentric(RadialSpec(4, 1)),
             generate_radioconcentric(RadialSpec(3, 2)),
-            build_graph(
+            NetworkGraph(
                 [(0.0, 0.0), (2.0, 0.0), (2.0, 1.5), (0.3, 0.4), (1.1, 2.2)],
                 [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4), (0, 4)],
             ),
