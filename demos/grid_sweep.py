@@ -9,13 +9,13 @@ from pathlib import Path
 
 from straightnet import Series, render_svg, sweep_rectilinear
 from straightnet.svgplot import write_svg
-from straightnet.tables import write_rect_sweep_csv
+from straightnet.tables import write_sweep_csv
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 results = sweep_rectilinear(range(1, 13))
-write_rect_sweep_csv(OUT / "grid_sweep.csv", results)
+write_sweep_csv(OUT / "grid_sweep.csv", results)
 
 print("size  mean      std       pairs")
 for r in results:

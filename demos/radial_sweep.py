@@ -11,14 +11,14 @@ from pathlib import Path
 
 from straightnet import render_svg, sweep_radial
 from straightnet.svgplot import series_from_table, write_svg
-from straightnet.tables import read_table, write_radial_sweep_csv
+from straightnet.tables import read_table, write_sweep_csv
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 results = sweep_radial(range(3, 21), range(1, 6))
 csv_path = OUT / "radial_sweep.csv"
-write_radial_sweep_csv(csv_path, results)
+write_sweep_csv(csv_path, results)
 
 table = {
     (r.parameters["radii"], r.parameters["rings"]): r.summary.mean for r in results

@@ -7,7 +7,6 @@ sweeps behind the ``straightnet`` command line tool.
 """
 
 from .analytic import (
-    MeshRoutes,
     analytic_curve,
     canonicalize,
     dominance_fraction,
@@ -27,7 +26,6 @@ from .generators import (
     side_node_id,
 )
 from .metrics import (
-    StraightnessSummary,
     pair_straightness,
     straightness_rows,
     summarize,
@@ -35,7 +33,6 @@ from .metrics import (
 from .model import (
     NetworkGraph,
     Point2D,
-    RouteMetrics,
     euclidean_distance,
     graph_from_json,
     graph_to_json,
@@ -46,7 +43,6 @@ from .shortest_paths import all_pairs, dijkstra
 from .svgplot import Series, render_svg, series_from_table
 from .sweeps import (
     DEFAULT_SWEEP_SUBDIVISION,
-    SweepResult,
     sweep_radial,
     sweep_rectilinear,
 )
@@ -59,14 +55,10 @@ __all__ = [
     "CheckResult",
     "DEFAULT_SWEEP_SUBDIVISION",
     "GridSpec",
-    "MeshRoutes",
     "NetworkGraph",
     "Point2D",
     "RadialSpec",
-    "RouteMetrics",
     "Series",
-    "StraightnessSummary",
-    "SweepResult",
     "all_pairs",
     "analytic_curve",
     "canonicalize",

@@ -24,10 +24,10 @@ from .svgplot import Series, render_svg, series_from_table, write_svg
 from .sweeps import DEFAULT_SWEEP_SUBDIVISION, sweep_radial, sweep_rectilinear
 from .tables import (
     read_table,
+    sweep_parameters,
     write_curve_csv,
     write_pairs_csv,
-    write_radial_sweep_csv,
-    write_rect_sweep_csv,
+    write_sweep_csv,
 )
 from .validation import run_all_checks
 
@@ -124,30 +124,27 @@ def _cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_rect(args) -> int:
-    results = sweep_rectilinear(args.sizes)
-    write_rect_sweep_csv(args.out, results)
+def _report_sweep(results, out, label: str) -> int:
+    """Write the sweep table and print one line per cell, named by ``label``."""
+    write_sweep_csv(out, results)
     for r in results:
         print(
-            f"size {r.parameters['squares_per_side']:>3}: "
+            f"{label.format(**r.parameters)}: "
             f"mean {r.summary.mean:.6f}  std {r.summary.std_dev:.6f}  "
             f"pairs {r.summary.pair_count}  ({r.wall_time_ms} ms)"
         )
-    print(f"-> {args.out}")
+    print(f"-> {out}")
     return EXIT_OK
+
+
+def _cmd_sweep_rect(args) -> int:
+    results = sweep_rectilinear(args.sizes)
+    return _report_sweep(results, args.out, "size {squares_per_side:>3}")
 
 
 def _cmd_sweep_radial(args) -> int:
     results = sweep_radial(args.radii, args.rings, subdivision=args.subdivide)
-    write_radial_sweep_csv(args.out, results)
-    for r in results:
-        print(
-            f"radii {r.parameters['radii']:>3} rings {r.parameters['rings']}: "
-            f"mean {r.summary.mean:.6f}  std {r.summary.std_dev:.6f}  "
-            f"pairs {r.summary.pair_count}  ({r.wall_time_ms} ms)"
-        )
-    print(f"-> {args.out}")
-    return EXIT_OK
+    return _report_sweep(results, args.out, "radii {radii:>3} rings {rings}")
 
 
 def _cmd_straightness(args) -> int:
@@ -194,21 +191,16 @@ def _cmd_plot(args) -> int:
         raise ValueError(f"{args.table}: no data rows")
     x_col, y_col, series_cols = args.x, args.y, args.series
     if x_col is None:
-        defaults = {
-            "alpha": ("alpha", "straightness", ["network", "k"]),
-            "squares_per_side": ("squares_per_side", "mean", []),
-            "radii": ("radii", "mean", ["rings"]),
-        }
-        for key, (x_default, y_default, series_default) in defaults.items():
-            if key in header:
-                x_col = x_default
-                y_col = y_col or y_default
-                series_cols = series_cols if series_cols is not None else series_default
-                break
+        if "alpha" in header:
+            x_col, y_default, series_default = "alpha", "straightness", ["network", "k"]
+        elif parameters := sweep_parameters(header):
+            x_col, y_default, series_default = parameters[0], "mean", parameters[1:]
         else:
             raise ValueError(
                 "cannot infer plot columns; pass --x/--y (and optionally --series)"
             )
+        y_col = y_col or y_default
+        series_cols = series_cols if series_cols is not None else series_default
     if y_col is None:
         raise ValueError("missing --y column")
     series = series_from_table(header, rows, x_col, y_col, series_cols or [])

@@ -28,27 +28,31 @@ class SweepResult:
     wall_time_ms: int
 
 
-def _timed_summary(graph):
-    start = time.perf_counter()
-    summary = summarize(graph)
-    elapsed_ms = max(0, int(round((time.perf_counter() - start) * 1000.0)))
-    return summary, elapsed_ms
+def _sweep(generate, cells) -> list[SweepResult]:
+    """Generate and summarize each ``(parameters, spec)`` cell in order.
+
+    The cells are built, and so validated, before any graph is generated.
+    """
+    results = []
+    for parameters, spec in cells:
+        graph = generate(spec)
+        start = time.perf_counter()
+        summary = summarize(graph)
+        elapsed_ms = max(0, int(round((time.perf_counter() - start) * 1000.0)))
+        results.append(SweepResult(parameters, summary, elapsed_ms))
+    return results
 
 
 def sweep_rectilinear(sizes: Iterable[int]) -> list[SweepResult]:
     """All-pairs straightness of unit grids, one result per size."""
-    results = []
+    cells = []
     for size in sizes:
         if not 1 <= size <= MAX_GRID_SWEEP_SIZE:
             raise ValueError(
                 f"grid size {size} outside 1..{MAX_GRID_SWEEP_SIZE}"
             )
-        graph = generate_rectilinear(GridSpec(size))
-        summary, elapsed_ms = _timed_summary(graph)
-        results.append(
-            SweepResult({"squares_per_side": size}, summary, elapsed_ms)
-        )
-    return results
+        cells.append(({"squares_per_side": size}, GridSpec(size)))
+    return _sweep(generate_rectilinear, cells)
 
 
 def sweep_radial(
@@ -58,17 +62,9 @@ def sweep_radial(
 ) -> list[SweepResult]:
     """All-pairs straightness of radio-concentric networks over (k, m)."""
     rings = list(rings)
-    results = []
-    for radii_count in radii:
-        for rings_count in rings:
-            spec = RadialSpec(radii_count, rings_count, subdivision)
-            graph = generate_radioconcentric(spec)
-            summary, elapsed_ms = _timed_summary(graph)
-            results.append(
-                SweepResult(
-                    {"radii": radii_count, "rings": rings_count},
-                    summary,
-                    elapsed_ms,
-                )
-            )
-    return results
+    cells = [
+        ({"radii": k, "rings": m}, RadialSpec(k, m, subdivision))
+        for k in radii
+        for m in rings
+    ]
+    return _sweep(generate_radioconcentric, cells)

@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 from .sweeps import SweepResult
 
 CURVE_HEADER = ["alpha", "straightness", "network", "k"]
-RECT_SWEEP_HEADER = ["squares_per_side", "pair_count", "mean", "std_dev", "skipped"]
-RADIAL_SWEEP_HEADER = ["radii", "rings", "pair_count", "mean", "std_dev", "skipped"]
+# A sweep table has its parameter columns, then these summary columns.
+SWEEP_SUMMARY_HEADER = ["pair_count", "mean", "std_dev", "skipped"]
 PAIRS_HEADER = ["u", "v", "d_spatial", "d_geodesic", "straightness"]
 
 
@@ -48,10 +48,13 @@ def write_curve_csv(
     _write_rows(path, CURVE_HEADER, rows)
 
 
-def write_rect_sweep_csv(path, results: Iterable[SweepResult]) -> None:
+def write_sweep_csv(path, results: Sequence[SweepResult]) -> None:
+    """One row per sweep cell; parameter columns from ``results[0]``."""
+    if not results:
+        raise ValueError("no sweep results to write")
     rows = [
         [
-            r.parameters["squares_per_side"],
+            *r.parameters.values(),
             r.summary.pair_count,
             format_ratio(r.summary.mean),
             format_ratio(r.summary.std_dev),
@@ -59,22 +62,13 @@ def write_rect_sweep_csv(path, results: Iterable[SweepResult]) -> None:
         ]
         for r in results
     ]
-    _write_rows(path, RECT_SWEEP_HEADER, rows)
+    _write_rows(path, [*results[0].parameters, *SWEEP_SUMMARY_HEADER], rows)
 
 
-def write_radial_sweep_csv(path, results: Iterable[SweepResult]) -> None:
-    rows = [
-        [
-            r.parameters["radii"],
-            r.parameters["rings"],
-            r.summary.pair_count,
-            format_ratio(r.summary.mean),
-            format_ratio(r.summary.std_dev),
-            r.summary.skipped_pairs,
-        ]
-        for r in results
-    ]
-    _write_rows(path, RADIAL_SWEEP_HEADER, rows)
+def sweep_parameters(header: list[str]) -> list[str]:
+    """Parameter columns of a sweep table header; empty for other tables."""
+    split = len(header) - len(SWEEP_SUMMARY_HEADER)
+    return header[:split] if header[split:] == SWEEP_SUMMARY_HEADER else []
 
 
 def write_pairs_csv(path, rows: Iterable[tuple]) -> Iterator[tuple]:

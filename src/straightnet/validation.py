@@ -97,13 +97,13 @@ def center_radial_check(graph: NetworkGraph, spec: RadialSpec) -> tuple[float, f
     return worst_formula, worst_spread
 
 
-def check_symmetry(samples_per_k: int = 334, max_radii: int = 32) -> CheckResult:
+def check_symmetry() -> CheckResult:
     """Reflected directions across each sector bisector agree exactly."""
     worst = 0.0
-    for k in range(3, max_radii + 1):
+    for k in range(3, 33):
         theta = sector_angle(k)
-        for i in range(samples_per_k):
-            alpha = 0.5 * theta * (i + 0.5) / samples_per_k
+        for i in range(334):
+            alpha = 0.5 * theta * (i + 0.5) / 334
             worst = max(
                 worst,
                 abs(
@@ -114,13 +114,13 @@ def check_symmetry(samples_per_k: int = 334, max_radii: int = 32) -> CheckResult
     return CheckResult("bisector symmetry", worst, TRIG_TOLERANCE)
 
 
-def check_rotation(samples_per_k: int = 40, max_radii: int = 16) -> CheckResult:
+def check_rotation() -> CheckResult:
     """Adding whole sectors to the direction never changes the value."""
     worst = 0.0
-    for k in range(3, max_radii + 1):
+    for k in range(3, 17):
         theta = sector_angle(k)
-        for i in range(samples_per_k):
-            alpha = 0.5 * theta * (i + 0.5) / samples_per_k
+        for i in range(40):
+            alpha = 0.5 * theta * (i + 0.5) / 40
             reference = straightness_radial(k, alpha)
             for turns in (1, 2, 5, k, 3 * k):
                 worst = max(
@@ -130,11 +130,11 @@ def check_rotation(samples_per_k: int = 40, max_radii: int = 16) -> CheckResult:
     return CheckResult("sector rotation", worst, TRIG_TOLERANCE)
 
 
-def check_formula_vs_mesh(samples: int = 1000, max_radii: int = 32) -> CheckResult:
+def check_formula_vs_mesh() -> CheckResult:
     """Closed form equals the explicit two-route mesh geometry."""
     worst = 0.0
-    spoke_counts = list(range(3, max_radii + 1))
-    per_k = -(-samples // len(spoke_counts))
+    spoke_counts = list(range(3, 33))
+    per_k = -(-1000 // len(spoke_counts))
     for k in spoke_counts:
         theta = sector_angle(k)
         for i in range(per_k):
@@ -144,48 +144,38 @@ def check_formula_vs_mesh(samples: int = 1000, max_radii: int = 32) -> CheckResu
     return CheckResult("closed form vs mesh geometry", worst, GEOMETRY_TOLERANCE)
 
 
-def check_boundary_limit(radii_count: int = 10_000, samples: int = 201) -> CheckResult:
+def check_boundary_limit() -> CheckResult:
     """With very many spokes the straightness approaches 1 everywhere."""
-    theta = sector_angle(radii_count)
+    theta = sector_angle(10_000)
     low = min(
-        straightness_radial(radii_count, 0.5 * theta * i / (samples - 1))
-        for i in range(samples)
+        straightness_radial(10_000, 0.5 * theta * i / 200) for i in range(201)
     )
     return CheckResult("many-spokes boundary limit", 1.0 - low, BOUNDARY_TOLERANCE)
 
 
-def check_grid_center(size: int = 10) -> CheckResult:
+def check_grid_center() -> CheckResult:
     """Dijkstra-measured grid straightness matches the closed form."""
-    graph = generate_rectilinear(GridSpec(size))
+    graph = generate_rectilinear(GridSpec(10))
     return CheckResult("grid center curve", center_curve_check(graph), GEOMETRY_TOLERANCE)
 
 
-def check_radial_center(
-    radii_count: int = 8, rings_count: int = 3, subdivision: int = 4
-) -> CheckResult:
-    """Measured center-to-side straightness matches the closed form."""
-    spec = RadialSpec(radii_count, rings_count, subdivision)
-    graph = generate_radioconcentric(spec)
-    formula_dev, _ = center_radial_check(graph, spec)
-    return CheckResult("radial center curve", formula_dev, GEOMETRY_TOLERANCE)
+def check_radial_center() -> tuple[CheckResult, CheckResult]:
+    """Measured center-to-side straightness matches the closed form, and is
+    independent of the destination ring (homothety)."""
+    spec = RadialSpec(8, 3, 4)
+    formula_dev, ring_spread = center_radial_check(generate_radioconcentric(spec), spec)
+    return (
+        CheckResult("radial center curve", formula_dev, GEOMETRY_TOLERANCE),
+        CheckResult("ring independence (homothety)", ring_spread, GEOMETRY_TOLERANCE),
+    )
 
 
-def check_homothety(
-    radii_count: int = 8, rings_count: int = 3, subdivision: int = 4
-) -> CheckResult:
-    """Measured straightness is independent of the destination ring."""
-    spec = RadialSpec(radii_count, rings_count, subdivision)
-    graph = generate_radioconcentric(spec)
-    _, ring_spread = center_radial_check(graph, spec)
-    return CheckResult("ring independence (homothety)", ring_spread, GEOMETRY_TOLERANCE)
-
-
-def check_rectilinear_range(samples: int = 2000) -> CheckResult:
+def check_rectilinear_range() -> CheckResult:
     """Grid closed form stays within [1/sqrt(2), 1]."""
     low, high = 1.0 / math.sqrt(2.0), 1.0
     worst = 0.0
-    for i in range(samples):
-        alpha = math.pi * i / (samples - 1)
+    for i in range(2000):
+        alpha = math.pi * i / 1999
         value = straightness_rectilinear(alpha)
         worst = max(worst, max(low - value, value - high, 0.0))
     return CheckResult("grid value range", worst, TRIG_TOLERANCE)
@@ -199,6 +189,5 @@ def run_all_checks() -> list[CheckResult]:
         check_boundary_limit(),
         check_rectilinear_range(),
         check_grid_center(),
-        check_radial_center(),
-        check_homothety(),
+        *check_radial_center(),
     ]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from straightnet import load_graph
+from straightnet import dijkstra, load_graph
 from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
 from straightnet.tables import read_table
 
@@ -286,8 +286,46 @@ class TestValidate:
         assert "FAIL" in captured.out
         assert "made-up check" in captured.err
 
+    def test_checks_search_each_graph_once(self, monkeypatch):
+        from straightnet import validation
+
+        sources = []
+
+        def counting(graph, source):
+            sources.append(source)
+            return dijkstra(graph, source)
+
+        monkeypatch.setattr(validation, "dijkstra", counting)
+        names = [r.name for r in validation.run_all_checks()]
+        assert len(sources) == 2  # grid s=10 and the (8, 3, 4) wheel
+        assert names[-3:] == [
+            "grid center curve",
+            "radial center curve",
+            "ring independence (homothety)",
+        ]
+
 
 class TestPlot:
+    @pytest.mark.parametrize(
+        "make_table, explicit",
+        [
+            (("sweep-rect", "--sizes", "1..4", "--out"),
+             ("--x", "squares_per_side", "--y", "mean", "--series")),
+            (("sweep-radial", "--radii", "3..5", "--rings", "1..2", "--out"),
+             ("--x", "radii", "--y", "mean", "--series", "rings")),
+            (("curve", "--steps", 9, "--out-csv"),
+             ("--x", "alpha", "--y", "straightness", "--series", "network", "k")),
+        ],
+        ids=["rect-sweep", "radial-sweep", "curve"],
+    )
+    def test_autodetected_columns_match_explicit(self, tmp_path, make_table, explicit):
+        csv_path = tmp_path / "t.csv"
+        assert run_cli(*make_table, csv_path) == 0
+        auto, manual = tmp_path / "auto.svg", tmp_path / "manual.svg"
+        assert run_cli("plot", csv_path, "--out", auto) == 0
+        assert run_cli("plot", csv_path, "--out", manual, *explicit) == 0
+        assert auto.read_bytes() == manual.read_bytes()
+
     def test_curve_table_autodetected(self, tmp_path):
         csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
         run_cli("curve", "--steps", 9, "--out-csv", csv_path)

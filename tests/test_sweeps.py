@@ -10,13 +10,15 @@ from straightnet import (
     sweep_radial,
     sweep_rectilinear,
 )
-from straightnet.tables import (
-    RADIAL_SWEEP_HEADER,
-    RECT_SWEEP_HEADER,
-    read_table,
-    write_radial_sweep_csv,
-    write_rect_sweep_csv,
-)
+from straightnet import sweeps
+from straightnet.tables import read_table, write_sweep_csv
+
+
+def record_summaries(monkeypatch):
+    """Make ``sweeps.summarize`` record calls; returns the list of calls."""
+    calls = []
+    monkeypatch.setattr(sweeps, "summarize", lambda graph: calls.append(graph))
+    return calls
 
 
 class TestRectSweep:
@@ -36,9 +38,15 @@ class TestRectSweep:
         assert sizes == [3, 1, 2]
 
     @pytest.mark.parametrize("size", [0, 51, -2])
-    def test_size_guard(self, size):
+    def test_size_guard(self, size, monkeypatch):
+        calls = record_summaries(monkeypatch)
         with pytest.raises(ValueError, match="outside"):
-            sweep_rectilinear([size])
+            sweep_rectilinear([1, 2, size])
+        assert calls == []  # refused before any cell was summarized
+
+    def test_one_shot_iterator(self):
+        results = sweep_rectilinear(iter([2, 1]))
+        assert [r.parameters["squares_per_side"] for r in results] == [2, 1]
 
 
 class TestRadialSweep:
@@ -63,9 +71,16 @@ class TestRadialSweep:
         meshed = sweep_radial([4], [1])[0].summary.mean
         assert meshed < sparse  # intermediate destinations force detours
 
-    def test_invalid_radii_propagates(self):
-        with pytest.raises(ValueError):
-            sweep_radial([2], [1])
+    def test_invalid_radii_propagates(self, monkeypatch):
+        calls = record_summaries(monkeypatch)
+        with pytest.raises(ValueError, match="radii_count"):
+            sweep_radial([3, 4, 2], [1])
+        assert calls == []  # refused before any cell was summarized
+
+    def test_one_shot_iterators(self):
+        results = sweep_radial(iter([4, 3]), iter([1, 2]), subdivision=1)
+        cells = [(r.parameters["radii"], r.parameters["rings"]) for r in results]
+        assert cells == [(4, 1), (4, 2), (3, 1), (3, 2)]
 
     def test_ring_count_matters_less_than_spoke_count(self):
         """Across the sweep, ring count moves the mean far less than spokes."""
@@ -89,9 +104,9 @@ class TestRadialSweep:
 class TestSweepCsv:
     def test_rect_schema(self, tmp_path):
         path = tmp_path / "rect.csv"
-        write_rect_sweep_csv(path, sweep_rectilinear([1, 2]))
+        write_sweep_csv(path, sweep_rectilinear([1, 2]))
         header, rows = read_table(path)
-        assert header == RECT_SWEEP_HEADER
+        assert header == ["squares_per_side", "pair_count", "mean", "std_dev", "skipped"]
         assert [r["squares_per_side"] for r in rows] == ["1", "2"]
         assert rows[0]["mean"] == "0.902368927"
         assert rows[0]["pair_count"] == "6"
@@ -99,17 +114,23 @@ class TestSweepCsv:
 
     def test_radial_schema(self, tmp_path):
         path = tmp_path / "radial.csv"
-        write_radial_sweep_csv(path, sweep_radial([4], [1], subdivision=1))
+        write_sweep_csv(path, sweep_radial([4], [1], subdivision=1))
         header, rows = read_table(path)
-        assert header == RADIAL_SWEEP_HEADER
+        assert header == ["radii", "rings", "pair_count", "mean", "std_dev", "skipped"]
         assert rows[0]["radii"] == "4"
         assert rows[0]["rings"] == "1"
         assert rows[0]["mean"] == "1"
         assert rows[0]["std_dev"] == "0"
 
+    def test_empty_results_refused(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        with pytest.raises(ValueError, match="no sweep results"):
+            write_sweep_csv(path, [])
+        assert not path.exists()
+
     def test_newline_discipline(self, tmp_path):
         path = tmp_path / "rect.csv"
-        write_rect_sweep_csv(path, sweep_rectilinear([1]))
+        write_sweep_csv(path, sweep_rectilinear([1]))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
