@@ -2,8 +2,9 @@
 
 Builds the two idealized street layouts as embedded graphs, evaluates the
 closed-form center-to-periphery straightness curves, measures straightness
-on the graphs with all-pairs shortest paths, and drives the simulation
-sweeps behind the ``straightnet`` command line tool.
+on the graphs with one Dijkstra run per source node (one per symmetry
+orbit on generated graphs), and drives the simulation sweeps behind the
+``straightnet`` command line tool.
 """
 
 from .analytic import (
@@ -25,21 +26,15 @@ from .generators import (
     ring_node_id,
     side_node_id,
 )
-from .metrics import (
-    pair_straightness,
-    straightness_rows,
-    summarize,
-)
+from .metrics import straightness_rows, summarize
 from .model import (
     NetworkGraph,
-    Point2D,
-    euclidean_distance,
     graph_from_json,
     graph_to_json,
     load_graph,
     save_graph,
 )
-from .shortest_paths import all_pairs, dijkstra
+from .shortest_paths import dijkstra
 from .svgplot import Series, render_svg, series_from_table
 from .sweeps import (
     DEFAULT_SWEEP_SUBDIVISION,
@@ -56,17 +51,14 @@ __all__ = [
     "DEFAULT_SWEEP_SUBDIVISION",
     "GridSpec",
     "NetworkGraph",
-    "Point2D",
     "RadialSpec",
     "Series",
-    "all_pairs",
     "analytic_curve",
     "canonicalize",
     "center_curve_check",
     "center_radial_check",
     "dijkstra",
     "dominance_fraction",
-    "euclidean_distance",
     "generate_radioconcentric",
     "generate_rectilinear",
     "graph_from_json",
@@ -75,7 +67,6 @@ __all__ = [
     "load_graph",
     "mesh_oracle_radial",
     "mesh_routes",
-    "pair_straightness",
     "render_svg",
     "ring_node_id",
     "run_all_checks",

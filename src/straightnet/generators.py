@@ -5,7 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import NetworkGraph
+
+# Largest node count a spec may ask for, so that an oversized request fails
+# before anything is allocated instead of exhausting memory.
+MAX_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -17,6 +23,7 @@ class GridSpec:
     def __post_init__(self):
         if self.squares_per_side < 1:
             raise ValueError("squares_per_side must be at least 1")
+        _check_node_count((self.squares_per_side + 1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,14 @@ class RadialSpec:
             raise ValueError("rings_count must be at least 1")
         if self.side_subdivision < 1:
             raise ValueError("side_subdivision must be at least 1")
+        _check_node_count(
+            1 + self.rings_count * self.radii_count * self.side_subdivision
+        )
+
+
+def _check_node_count(count: int) -> None:
+    if count > MAX_NODES:
+        raise ValueError(f"{count} nodes requested, more than MAX_NODES = {MAX_NODES}")
 
 
 def grid_node_id(spec: GridSpec, i: int, j: int) -> int:
@@ -64,19 +79,18 @@ def generate_rectilinear(spec: GridSpec) -> NetworkGraph:
     quarter turn ``(i, j) -> (s - j, i)`` and the diagonal reflection
     ``(i, j) -> (j, i)``.
     """
-    s = spec.squares_per_side
-    n = s + 1
-    nodes = [(float(i), float(j)) for j in range(n) for i in range(n)]
-    edges: list[tuple[int, int]] = []
-    for j in range(n):
-        for i in range(s):
-            edges.append((j * n + i, j * n + i + 1))
-    for j in range(s):
-        for i in range(n):
-            edges.append((j * n + i, (j + 1) * n + i))
-    quarter_turn = [i * n + (s - j) for j in range(n) for i in range(n)]
-    diagonal = [i * n + j for j in range(n) for i in range(n)]
-    return NetworkGraph(nodes, edges, symmetries=(quarter_turn, diagonal))
+    n = spec.squares_per_side + 1
+    ids = np.arange(n * n).reshape(n, n)  # ids[j, i] is the node at (i, j)
+    j, i = np.divmod(ids.ravel(), n)
+    nodes = np.column_stack([i, j]).astype(float)
+    edges = np.concatenate([_links(ids[:, :-1], ids[:, 1:]), _links(ids[:-1], ids[1:])])
+    quarter_turn, diagonal = ids.T[::-1].ravel(), ids.T.ravel()
+    return NetworkGraph(nodes, edges.tolist(), symmetries=(quarter_turn, diagonal))
+
+
+def _links(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """``(E, 2)`` edge block joining ``tails`` to ``heads`` element-wise."""
+    return np.column_stack([tails.ravel(), heads.ravel()])
 
 
 def ring_node_id(spec: RadialSpec, ring: int, radius: int) -> int:
@@ -124,46 +138,25 @@ def generate_radioconcentric(spec: RadialSpec) -> NetworkGraph:
     """
     k, m, q = spec.radii_count, spec.rings_count, spec.side_subdivision
     theta = 2.0 * math.pi / k
+    spokes = np.array([(math.cos(r * theta), math.sin(r * theta)) for r in range(k)])
+    corners = np.arange(1, m + 1)[:, None, None] * spokes  # [ring - 1, spoke]
+    chords = np.roll(corners, -1, axis=1) - corners
+    sides = corners[:, :, None] + (np.arange(1, q) / q)[:, None] * chords[:, :, None]
+    nodes = np.concatenate([[(0.0, 0.0)], corners.reshape(-1, 2), sides.reshape(-1, 2)])
 
-    nodes: list[tuple[float, float]] = [(0.0, 0.0)]
-    for ring in range(1, m + 1):
-        for radius in range(k):
-            angle = radius * theta
-            nodes.append((ring * math.cos(angle), ring * math.sin(angle)))
-    if q > 1:
-        for ring in range(1, m + 1):
-            for side in range(k):
-                ax, ay = nodes[ring_node_id(spec, ring, side)]
-                bx, by = nodes[ring_node_id(spec, ring, (side + 1) % k)]
-                for step in range(1, q):
-                    f = step / q
-                    nodes.append((ax + f * (bx - ax), ay + f * (by - ay)))
+    # ids of corner [ring - 1, spoke] and side node [ring - 1, side, step - 1]
+    corner = 1 + np.arange(m * k).reshape(m, k)
+    side = 1 + m * k + np.arange(m * k * (q - 1)).reshape(m, k, q - 1)
+    next_corner = np.roll(corner, -1, axis=1)
+    chains = np.concatenate([corner[..., None], side, next_corner[..., None]], axis=2)
+    edges = np.concatenate([
+        _links(np.zeros(k, dtype=int), corner[0]),
+        _links(corner[:-1], corner[1:]),
+        _links(chains[..., :-1], chains[..., 1:]),
+    ])
 
-    edges: list[tuple[int, int]] = []
-    for radius in range(k):
-        edges.append((0, ring_node_id(spec, 1, radius)))
-    for ring in range(1, m):
-        for radius in range(k):
-            edges.append(
-                (ring_node_id(spec, ring, radius), ring_node_id(spec, ring + 1, radius))
-            )
-    for ring in range(1, m + 1):
-        for side in range(k):
-            chain = [ring_node_id(spec, ring, side)]
-            if q > 1:
-                chain.extend(side_node_id(spec, ring, side, s) for s in range(1, q))
-            chain.append(ring_node_id(spec, ring, (side + 1) % k))
-            edges.extend(zip(chain, chain[1:]))
-
-    rotation, reflection = [0], [0]
-    for ring in range(1, m + 1):
-        for radius in range(k):
-            rotation.append(ring_node_id(spec, ring, (radius + 1) % k))
-            reflection.append(ring_node_id(spec, ring, -radius % k))
-    if q > 1:
-        for ring in range(1, m + 1):
-            for side in range(k):
-                for step in range(1, q):
-                    rotation.append(side_node_id(spec, ring, (side + 1) % k, step))
-                    reflection.append(side_node_id(spec, ring, (-side - 1) % k, q - step))
-    return NetworkGraph(nodes, edges, symmetries=(rotation, reflection))
+    rotation = np.concatenate([[0], next_corner.ravel(), np.roll(side, -1, axis=1).ravel()])
+    reflection = np.concatenate(
+        [[0], np.roll(corner[:, ::-1], 1, axis=1).ravel(), side[:, ::-1, ::-1].ravel()]
+    )
+    return NetworkGraph(nodes, edges.tolist(), symmetries=(rotation, reflection))

@@ -1,4 +1,4 @@
-"""Per-pair straightness, the per-source row kernel and whole-graph aggregates."""
+"""The per-source straightness row kernel and whole-graph aggregates."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import NetworkGraph, RouteMetrics
+from .model import NetworkGraph
 from .shortest_paths import dijkstra
 
 
@@ -26,19 +26,6 @@ class StraightnessSummary:
     mean: float
     std_dev: float
     skipped_pairs: int
-
-
-def pair_straightness(
-    graph: NetworkGraph, distances: np.ndarray, u: int, v: int
-) -> RouteMetrics:
-    """Route metrics for one pair, using a precomputed all-pairs matrix."""
-    if u == v:
-        raise ValueError("straightness of a node with itself is undefined")
-    d_spatial = math.hypot(*(graph.positions[u] - graph.positions[v]))
-    d_geodesic = float(distances[u, v])
-    if not math.isfinite(d_geodesic) or d_spatial == 0.0:
-        return RouteMetrics(u, v, d_spatial, d_geodesic, math.nan, skipped=True)
-    return RouteMetrics(u, v, d_spatial, d_geodesic, d_spatial / d_geodesic)
 
 
 def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:

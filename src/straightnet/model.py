@@ -1,12 +1,10 @@
-"""Core graph model: planar embedded graphs with straight-segment edges."""
+"""Core graph model: embedded graphs with straight-segment edges."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -15,43 +13,13 @@ import numpy as np
 RIGID_TOLERANCE = 1e-9
 
 
-class Point2D(NamedTuple):
-    """Node position in the plane (unitless coordinates)."""
-
-    x: float
-    y: float
-
-
-def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Crow-flies distance between two points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-@dataclass(frozen=True)
-class RouteMetrics:
-    """Spatial distance, on-network distance and their ratio for one pair.
-
-    ``straightness`` is ``d_spatial / d_geodesic`` and lies in ``(0, 1]``
-    whenever the pair is measurable.  Pairs whose geodesic distance is
-    infinite (disconnected graph) or whose spatial distance is zero are
-    flagged ``skipped`` and carry ``nan`` straightness.
-    """
-
-    source: int
-    target: int
-    d_spatial: float
-    d_geodesic: float
-    straightness: float
-    skipped: bool = False
-
-
 class NetworkGraph:
     """Immutable undirected geometric graph.
 
     Nodes are dense integer ids ``0..N-1`` at pairwise-distinct positions.
     Edges are straight segments; their lengths are always derived from the
     endpoint positions, never stored independently, so geometry and edge
-    weight cannot disagree.  Instances are safe to share across threads.
+    weight cannot disagree.  Edges may cross without meeting at a node.
 
     Parameters
     ----------
@@ -189,13 +157,6 @@ class NetworkGraph:
         """``(lowest id, size)`` per connected component, like :attr:`orbits`."""
         return _classes(self.node_count, self._edges.tolist())
 
-    def point(self, node: int) -> Point2D:
-        x, y = self._positions[node]
-        return Point2D(float(x), float(y))
-
-    def neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
-        return self._adjacency[node]
-
     def __repr__(self) -> str:
         return f"NetworkGraph(nodes={self.node_count}, edges={self.edge_count})"
 
@@ -267,18 +228,18 @@ def graph_to_json(graph: NetworkGraph) -> dict:
 
 def graph_from_json(data: dict) -> NetworkGraph:
     """Rebuild a graph from the dict form produced by :func:`graph_to_json`."""
-    try:
-        raw_nodes = data["nodes"]
-        raw_edges = data["edges"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("graph JSON must contain 'nodes' and 'edges'") from exc
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(key), list) for key in ("nodes", "edges")
+    ):
+        raise ValueError("graph JSON must contain 'nodes' and 'edges' lists")
+    raw_nodes, raw_edges = data["nodes"], data["edges"]
 
     by_id: dict[int, tuple[float, float]] = {}
     for entry in raw_nodes:
         try:
             node_id = int(entry["id"])
             pos = (float(entry["x"]), float(entry["y"]))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed node entry: {entry!r}") from exc
         if node_id in by_id:
             raise ValueError(f"node id {node_id} appears twice")
@@ -291,7 +252,7 @@ def graph_from_json(data: dict) -> NetworkGraph:
     for entry in raw_edges:
         try:
             edges.append((int(entry["u"]), int(entry["v"])))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed edge entry: {entry!r}") from exc
     return NetworkGraph(nodes, edges)
 

@@ -1,4 +1,4 @@
-"""Exact geodesic distances: single-source Dijkstra and an all-pairs driver."""
+"""Exact geodesic distances: single-source Dijkstra over the tuple adjacency."""
 
 from __future__ import annotations
 
@@ -37,8 +37,3 @@ def dijkstra(graph: NetworkGraph, source: int) -> np.ndarray:
                 heappush(heap, (nd, v))
     return np.asarray(dist)
 
-
-def all_pairs(graph: NetworkGraph) -> np.ndarray:
-    """Full ``(N, N)`` geodesic distance matrix, row i = distances from i."""
-    rows = [dijkstra(graph, s) for s in range(graph.node_count)]
-    return np.vstack(rows) if rows else np.zeros((0, 0))

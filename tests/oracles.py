@@ -1,13 +1,59 @@
-"""Brute-force reference implementations used to pin expected test values.
+"""Reference implementations used to pin expected test values.
 
-These stay deliberately independent of the library's shortest-path code:
-geodesics come from exhaustive simple-path enumeration, which is exact for
-the small graphs (<= ~10 nodes) the hand-checked cases use.
+The ``enumerated_*`` functions stay deliberately independent of the
+library's shortest-path code: geodesics come from exhaustive simple-path
+enumeration, which is exact for the small graphs (<= ~10 nodes) the
+hand-checked cases use.  ``all_pairs`` and ``pair_straightness`` are the
+plain per-pair path the library's row kernel is checked against, and the
+``loop_*`` builders are the node-by-node construction the array-built
+generators must reproduce bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
-from straightnet import euclidean_distance
+import numpy as np
+
+from straightnet import dijkstra, ring_node_id, side_node_id
+
+
+def euclidean_distance(a, b):
+    """Crow-flies distance between two points."""
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def all_pairs(graph):
+    """Full ``(N, N)`` geodesic distance matrix, row i = distances from i."""
+    rows = [dijkstra(graph, s) for s in range(graph.node_count)]
+    return np.vstack(rows) if rows else np.zeros((0, 0))
+
+
+@dataclass(frozen=True)
+class RouteMetrics:
+    """Spatial distance, on-network distance and their ratio for one pair.
+
+    Pairs whose geodesic distance is infinite (disconnected graph) or whose
+    spatial distance is zero are flagged ``skipped`` and carry ``nan``
+    straightness.
+    """
+
+    source: int
+    target: int
+    d_spatial: float
+    d_geodesic: float
+    straightness: float
+    skipped: bool = False
+
+
+def pair_straightness(graph, distances, u, v):
+    """Route metrics for one pair, using a precomputed all-pairs matrix."""
+    if u == v:
+        raise ValueError("straightness of a node with itself is undefined")
+    d_spatial = math.hypot(*(graph.positions[u] - graph.positions[v]))
+    d_geodesic = float(distances[u, v])
+    if not math.isfinite(d_geodesic) or d_spatial == 0.0:
+        return RouteMetrics(u, v, d_spatial, d_geodesic, math.nan, skipped=True)
+    return RouteMetrics(u, v, d_spatial, d_geodesic, d_spatial / d_geodesic)
 
 
 def enumerated_geodesic(graph, source, target):
@@ -38,7 +84,7 @@ def enumerated_distance_matrix(graph):
 
 
 def enumerated_pair_straightness(graph, u, v):
-    d_s = euclidean_distance(graph.point(u), graph.point(v))
+    d_s = euclidean_distance(graph.positions[u], graph.positions[v])
     return d_s / enumerated_geodesic(graph, u, v)
 
 
@@ -51,3 +97,69 @@ def enumerated_mean_straightness(graph):
         for v in range(u + 1, n)
     ]
     return sum(values) / len(values)
+
+
+def loop_rectilinear(spec):
+    """``(nodes, edges, symmetries)`` of the grid, built node by node."""
+    s = spec.squares_per_side
+    n = s + 1
+    nodes = [(float(i), float(j)) for j in range(n) for i in range(n)]
+    edges = []
+    for j in range(n):
+        for i in range(s):
+            edges.append((j * n + i, j * n + i + 1))
+    for j in range(s):
+        for i in range(n):
+            edges.append((j * n + i, (j + 1) * n + i))
+    quarter_turn = [i * n + (s - j) for j in range(n) for i in range(n)]
+    diagonal = [i * n + j for j in range(n) for i in range(n)]
+    return nodes, edges, (quarter_turn, diagonal)
+
+
+def loop_radioconcentric(spec):
+    """``(nodes, edges, symmetries)`` of the wheel, built node by node."""
+    k, m, q = spec.radii_count, spec.rings_count, spec.side_subdivision
+    theta = 2.0 * math.pi / k
+
+    nodes = [(0.0, 0.0)]
+    for ring in range(1, m + 1):
+        for radius in range(k):
+            angle = radius * theta
+            nodes.append((ring * math.cos(angle), ring * math.sin(angle)))
+    if q > 1:
+        for ring in range(1, m + 1):
+            for side in range(k):
+                ax, ay = nodes[ring_node_id(spec, ring, side)]
+                bx, by = nodes[ring_node_id(spec, ring, (side + 1) % k)]
+                for step in range(1, q):
+                    f = step / q
+                    nodes.append((ax + f * (bx - ax), ay + f * (by - ay)))
+
+    edges = []
+    for radius in range(k):
+        edges.append((0, ring_node_id(spec, 1, radius)))
+    for ring in range(1, m):
+        for radius in range(k):
+            edges.append(
+                (ring_node_id(spec, ring, radius), ring_node_id(spec, ring + 1, radius))
+            )
+    for ring in range(1, m + 1):
+        for side in range(k):
+            chain = [ring_node_id(spec, ring, side)]
+            if q > 1:
+                chain.extend(side_node_id(spec, ring, side, s) for s in range(1, q))
+            chain.append(ring_node_id(spec, ring, (side + 1) % k))
+            edges.extend(zip(chain, chain[1:]))
+
+    rotation, reflection = [0], [0]
+    for ring in range(1, m + 1):
+        for radius in range(k):
+            rotation.append(ring_node_id(spec, ring, (radius + 1) % k))
+            reflection.append(ring_node_id(spec, ring, -radius % k))
+    if q > 1:
+        for ring in range(1, m + 1):
+            for side in range(k):
+                for step in range(1, q):
+                    rotation.append(side_node_id(spec, ring, (side + 1) % k, step))
+                    reflection.append(side_node_id(spec, ring, (-side - 1) % k, q - step))
+    return nodes, edges, (rotation, reflection)

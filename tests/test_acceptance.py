@@ -16,7 +16,6 @@ import pytest
 from straightnet import (
     GridSpec,
     RadialSpec,
-    all_pairs,
     canonicalize,
     center_curve_check,
     center_radial_check,
@@ -25,7 +24,6 @@ from straightnet import (
     generate_rectilinear,
     grid_node_id,
     mesh_oracle_radial,
-    pair_straightness,
     ring_node_id,
     sector_angle,
     straightness_radial,
@@ -36,6 +34,7 @@ from straightnet import (
 from straightnet.cli import main
 
 import oracles
+from oracles import all_pairs, pair_straightness
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

@@ -48,6 +48,20 @@ class TestGen:
     def test_grid_size_zero_fails(self, tmp_path):
         assert run_cli("gen", "rect", "--size", 0, "--out", tmp_path / "g.json") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("rect", "--size", 1000),
+            ("radial", "--radii", 5, "--rings", 100_000, "--subdivide", 2),
+        ],
+        ids=["rect", "radial"],
+    )
+    def test_node_cap_refused_before_building(self, tmp_path, capsys, args):
+        out = tmp_path / "big.json"
+        assert run_cli("gen", *args, "--out", out) == 1
+        assert not out.exists()
+        assert "nodes requested, more than MAX_NODES" in capsys.readouterr().err
+
     def test_unwritable_path_is_io_error(self, tmp_path):
         target = tmp_path / "missing_dir" / "grid.json"
         assert run_cli("gen", "rect", "--size", 1, "--out", target) == 3
@@ -191,6 +205,23 @@ class TestStraightness:
         bad = tmp_path / "bad.json"
         bad.write_text("{]", encoding="utf-8")
         assert run_cli("straightness", bad) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"nodes": 5, "edges": []}',
+            '{"nodes": [], "edges": null}',
+            '{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+            ' "edges": [{"u": 0, "v": Infinity}]}',
+        ],
+        ids=["int-nodes", "null-edges", "infinite-id"],
+    )
+    def test_malformed_graph_is_one_line_usage_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli("straightness", bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("straightnet: ") and err.count("\n") == 1
 
     def test_strict_mode_on_disconnected_graph(self, tmp_path):
         path = tmp_path / "parts.json"

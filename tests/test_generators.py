@@ -5,6 +5,7 @@ import pytest
 
 from straightnet import (
     GridSpec,
+    NetworkGraph,
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
@@ -13,6 +14,9 @@ from straightnet import (
     sector_angle,
     side_node_id,
 )
+from straightnet.generators import MAX_NODES
+
+import oracles
 
 
 class TestSpecValidation:
@@ -33,6 +37,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             RadialSpec(4, 1, 0)
 
+    def test_node_cap(self):
+        # (s + 1)^2 and 1 + m*k*q nodes: the largest specs under the cap pass
+        assert MAX_NODES == 1_000_000
+        GridSpec(999)
+        RadialSpec(3, 333_333)
+        with pytest.raises(ValueError, match="1002001 nodes"):
+            GridSpec(1000)
+        with pytest.raises(ValueError, match="1000001 nodes"):
+            RadialSpec(5, 100_000, 2)
+
 
 class TestRectilinear:
     def test_unit_square(self):
@@ -51,8 +65,8 @@ class TestRectilinear:
         assert g.node_count == 25
         assert g.edge_count == 40
         assert grid_node_id(spec, 3, 4) == 23
-        assert g.point(23) == (3.0, 4.0)
-        assert g.point(0) == (0.0, 0.0)
+        assert g.positions[23].tolist() == [3.0, 4.0]
+        assert g.positions[0].tolist() == [0.0, 0.0]
 
     def test_all_edges_unit_length(self):
         g = generate_rectilinear(GridSpec(5))
@@ -72,7 +86,7 @@ class TestRectilinear:
 
     def test_degree_pattern(self):
         g = generate_rectilinear(GridSpec(3))
-        degrees = sorted(len(g.neighbors(i)) for i in range(g.node_count))
+        degrees = sorted(len(g.adjacency[i]) for i in range(g.node_count))
         # 4 corners, 8 boundary, 4 interior for s=3
         assert degrees == [2] * 4 + [3] * 8 + [4] * 4
 
@@ -83,7 +97,7 @@ class TestRadioconcentric:
         g = generate_radioconcentric(spec)
         assert g.node_count == 5
         assert g.edge_count == 8
-        ring = [g.point(ring_node_id(spec, 1, i)) for i in range(4)]
+        ring = [g.positions[ring_node_id(spec, 1, i)] for i in range(4)]
         assert ring[0] == pytest.approx((1.0, 0.0), abs=1e-15)
         assert ring[1] == pytest.approx((0.0, 1.0), abs=1e-15)
         assert ring[2] == pytest.approx((-1.0, 0.0), abs=1e-15)
@@ -99,14 +113,14 @@ class TestRadioconcentric:
         g = generate_radioconcentric(spec)
         assert g.node_count == 7
         assert g.edge_count == 12
-        outer = g.point(ring_node_id(spec, 2, 0))
+        outer = g.positions[ring_node_id(spec, 2, 0)]
         assert outer == pytest.approx((2.0, 0.0), abs=1e-15)
 
     def test_outer_chord_scales_with_ring(self):
         spec = RadialSpec(3, 2)
         g = generate_radioconcentric(spec)
-        a = g.point(ring_node_id(spec, 2, 0))
-        b = g.point(ring_node_id(spec, 2, 1))
+        a = g.positions[ring_node_id(spec, 2, 0)]
+        b = g.positions[ring_node_id(spec, 2, 1)]
         # ring-2 chord: 2 * 2 * sin(pi/3) = 2 * sqrt(3)
         assert math.dist(a, b) == pytest.approx(2 * math.sqrt(3), abs=1e-12)
 
@@ -137,12 +151,12 @@ class TestRadioconcentric:
         g = generate_radioconcentric(spec)
         for ring in (1, 2):
             for side in range(7):
-                a = np.array(g.point(ring_node_id(spec, ring, side)))
-                b = np.array(g.point(ring_node_id(spec, ring, (side + 1) % 7)))
+                a = g.positions[ring_node_id(spec, ring, side)]
+                b = g.positions[ring_node_id(spec, ring, (side + 1) % 7)]
                 direction = (b - a) / np.hypot(*(b - a))
                 normal = np.array([-direction[1], direction[0]])
                 for step in range(1, 5):
-                    p = np.array(g.point(side_node_id(spec, ring, side, step)))
+                    p = g.positions[side_node_id(spec, ring, side, step)]
                     assert abs((p - a) @ normal) <= 1e-12
 
     def test_subdivision_positions_scale_across_rings(self):
@@ -150,9 +164,9 @@ class TestRadioconcentric:
         g = generate_radioconcentric(spec)
         for side in range(5):
             for step in range(1, 4):
-                base = np.array(g.point(side_node_id(spec, 1, side, step)))
+                base = g.positions[side_node_id(spec, 1, side, step)]
                 for ring in (2, 3):
-                    p = np.array(g.point(side_node_id(spec, ring, side, step)))
+                    p = g.positions[side_node_id(spec, ring, side, step)]
                     assert np.allclose(p, ring * base, atol=1e-12)
 
     def test_side_node_id_requires_subdivision(self):
@@ -170,8 +184,8 @@ class TestRadioconcentric:
 
     def test_center_is_node_zero(self):
         g = generate_radioconcentric(RadialSpec(9, 2))
-        assert g.point(0) == (0.0, 0.0)
-        assert len(g.neighbors(0)) == 9
+        assert g.positions[0].tolist() == [0.0, 0.0]
+        assert len(g.adjacency[0]) == 9
 
 
 class TestSymmetryGroups:
@@ -198,3 +212,30 @@ class TestSymmetryGroups:
         midpoints = 1 if q % 2 == 0 else 0
         expected = [1] + [k] * m * (1 + midpoints) + [2 * k] * m * ((q - 1) // 2)
         assert sorted(size for _, size in g.orbits) == sorted(expected)
+
+
+def assert_same_graph(graph, reference):
+    nodes, edges, symmetries = reference
+    expected = NetworkGraph(nodes, edges, symmetries=symmetries)
+    assert graph.positions.tobytes() == expected.positions.tobytes()
+    assert graph.edges.tolist() == expected.edges.tolist()
+    assert [p.tolist() for p in graph.symmetries] == list(map(list, symmetries))
+    assert graph.orbits == expected.orbits
+
+
+class TestLoopReference:
+    """The array-built generators equal the node-by-node construction."""
+
+    def test_grids(self):
+        for s in range(1, 41):
+            spec = GridSpec(s)
+            assert_same_graph(generate_rectilinear(spec), oracles.loop_rectilinear(spec))
+
+    @pytest.mark.parametrize("k", range(3, 25))
+    def test_wheels(self, k):
+        for m in range(1, 7):
+            for q in range(1, 6):
+                spec = RadialSpec(k, m, q)
+                assert_same_graph(
+                    generate_radioconcentric(spec), oracles.loop_radioconcentric(spec)
+                )

@@ -9,7 +9,6 @@ from straightnet import (
     GridSpec,
     NetworkGraph,
     RadialSpec,
-    all_pairs,
     center_curve_check,
     center_radial_check,
     dijkstra,
@@ -19,7 +18,6 @@ from straightnet import (
     graph_to_json,
     grid_node_id,
     metrics,
-    pair_straightness,
     ring_node_id,
     side_node_id,
     straightness_rows,
@@ -28,6 +26,7 @@ from straightnet import (
 from straightnet.tables import format_angle, format_ratio, read_table, write_pairs_csv
 
 import oracles
+from oracles import all_pairs, pair_straightness
 
 SQRT7_OVER_1_PLUS_SQRT3 = math.sqrt(7.0) / (1.0 + math.sqrt(3.0))  # 0.9684121919...
 

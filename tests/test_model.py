@@ -6,8 +6,6 @@ import pytest
 
 from straightnet import (
     NetworkGraph,
-    Point2D,
-    euclidean_distance,
     generate_radioconcentric,
     generate_rectilinear,
     graph_from_json,
@@ -18,30 +16,10 @@ from straightnet import (
     save_graph,
 )
 
+import oracles
+
 SQUARE_NODES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 SQUARE_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3)]
-
-
-class TestEuclideanDistance:
-    def test_identity(self):
-        assert euclidean_distance((0.0, 0.0), (0.0, 0.0)) == 0.0
-
-    def test_pythagorean_triple(self):
-        assert euclidean_distance((0.0, 0.0), (3.0, 4.0)) == 5.0
-
-    def test_unit_circle_chord(self):
-        # chord spanning 2*pi/3 on the unit circle: 2*sin(pi/3) = sqrt(3)
-        far = (math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
-        assert euclidean_distance((1.0, 0.0), far) == pytest.approx(
-            1.7320508075688772, abs=1e-15
-        )
-
-    def test_symmetric(self):
-        a, b = (0.3, -1.2), (2.5, 0.7)
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
-
-    def test_accepts_point2d(self):
-        assert euclidean_distance(Point2D(0.0, 0.0), Point2D(0.0, 2.0)) == 2.0
 
 
 class TestBuildGraph:
@@ -122,15 +100,15 @@ class TestImmutability:
 def test_edge_lengths_match_endpoint_distances(graph):
     # lengths are derived, so the straight-segment invariant is exact
     for (u, v), length in zip(graph.edges, graph.edge_lengths):
-        d = euclidean_distance(graph.point(int(u)), graph.point(int(v)))
+        d = oracles.euclidean_distance(graph.positions[u], graph.positions[v])
         assert abs(length - d) <= 1e-12
 
 
 def test_adjacency_is_symmetric():
     g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
     for u in range(g.node_count):
-        for v, w in g.neighbors(u):
-            assert (u, w) in [(n, wt) for n, wt in g.neighbors(v)]
+        for v, w in g.adjacency[u]:
+            assert (u, w) in g.adjacency[v]
 
 
 class TestSymmetries:
@@ -238,6 +216,33 @@ class TestGraphJson:
             graph_from_json({"nodes": [{"id": 0, "x": 0}], "edges": []})
         with pytest.raises(ValueError):
             graph_from_json({"nodes": []})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nodes": 5, "edges": []},
+            {"nodes": [], "edges": None},
+            [{"id": 0, "x": 0, "y": 0}],
+        ],
+    )
+    def test_sections_that_are_not_lists_rejected(self, data):
+        with pytest.raises(ValueError, match="must contain"):
+            graph_from_json(data)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, kind",
+        [
+            ([{"id": math.inf, "x": 0, "y": 0}], [], "node"),
+            (
+                [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],
+                [{"u": 0, "v": math.inf}],
+                "edge",
+            ),
+        ],
+    )
+    def test_infinite_ids_rejected(self, nodes, edges, kind):
+        with pytest.raises(ValueError, match=f"malformed {kind} entry"):
+            graph_from_json({"nodes": nodes, "edges": edges})
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -7,9 +7,7 @@ from straightnet import (
     GridSpec,
     NetworkGraph,
     RadialSpec,
-    all_pairs,
     dijkstra,
-    euclidean_distance,
     generate_radioconcentric,
     generate_rectilinear,
     grid_node_id,
@@ -17,6 +15,7 @@ from straightnet import (
 )
 
 import oracles
+from oracles import all_pairs
 
 
 class TestDijkstra:
@@ -106,7 +105,7 @@ class TestAllPairs:
         distances = all_pairs(graph)
         for u in range(graph.node_count):
             for v in range(graph.node_count):
-                d_s = euclidean_distance(graph.point(u), graph.point(v))
+                d_s = oracles.euclidean_distance(graph.positions[u], graph.positions[v])
                 assert distances[u, v] >= d_s - 1e-12
 
     def test_relaxation_inequality_on_every_edge(self):
