@@ -1,6 +1,7 @@
 """Closed-form straightness of center-to-periphery routes.
 
-Angles are plain floats in radians.  A move from the network center is
+Angles are in radians, either floats or numpy arrays of directions (a
+float in gives a float out).  A move from the network center is
 described by its direction ``alpha`` measured from the x axis; a
 radio-concentric network is described by its integer spoke count ``k``,
 from which the sector angle ``theta = 2*pi/k`` is always derived (passing
@@ -13,7 +14,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 RIGHT_ANGLE = math.pi / 2.0
+DOMINANCE_SAMPLES = 10001  # directions dominance_fraction samples on [0, pi/4]
+Angles = float | np.ndarray  # one direction in radians, or an array of them
 
 
 def sector_angle(radii_count: int) -> float:
@@ -25,7 +30,7 @@ def sector_angle(radii_count: int) -> float:
     return 2.0 * math.pi / radii_count
 
 
-def canonicalize(theta: float, alpha: float) -> float:
+def canonicalize(theta: float, alpha: Angles) -> Angles:
     """Reduce a direction to the representative range ``[0, theta/2]``.
 
     Straightness is periodic in the sector angle (rotating by a whole
@@ -36,17 +41,18 @@ def canonicalize(theta: float, alpha: float) -> float:
     """
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError("theta must be finite and positive")
-    if not math.isfinite(alpha):
+    if not np.isfinite(alpha).all():
         raise ValueError("alpha must be finite")
-    a = math.fmod(alpha, theta)
-    if a < 0.0:
-        a += theta
-    if a > 0.5 * theta:
-        a = theta - a
-    return a
+    a = np.fmod(alpha, theta)
+    a = np.where(a < 0.0, a + theta, a)
+    return _like(alpha, np.where(a > 0.5 * theta, theta - a, a))
 
 
-def straightness_rectilinear(alpha: float) -> float:
+def _like(alpha: Angles, values) -> Angles:
+    return values if np.ndim(alpha) else float(values)  # a float in, a float out
+
+
+def straightness_rectilinear(alpha: Angles) -> Angles:
     """Center-to-periphery straightness on a perfect unit grid.
 
     ``1 / (cos a + sin a)`` on the canonical half-sector; the grid behaves
@@ -54,10 +60,10 @@ def straightness_rectilinear(alpha: float) -> float:
     finite direction is accepted.  Values lie in ``[1/sqrt(2), 1]``.
     """
     a = canonicalize(RIGHT_ANGLE, alpha)
-    return 1.0 / (math.cos(a) + math.sin(a))
+    return _like(alpha, 1.0 / (np.cos(a) + np.sin(a)))
 
 
-def straightness_radial(radii_count: int, alpha: float) -> float:
+def straightness_radial(radii_count: int, alpha: Angles) -> Angles:
     """Center-to-periphery straightness on a perfect radio-concentric network.
 
     Evaluates ``1 / (cos a + sin a / tan((pi-theta)/2) + sin a /
@@ -69,11 +75,9 @@ def straightness_radial(radii_count: int, alpha: float) -> float:
     theta = sector_angle(radii_count)
     a = canonicalize(theta, alpha)
     half_apex = 0.5 * (math.pi - theta)
-    return 1.0 / (
-        math.cos(a)
-        + math.sin(a) / math.tan(half_apex)
-        + math.sin(a) / math.sin(half_apex)
-    )
+    sin_a = np.sin(a)
+    denominator = np.cos(a) + sin_a / math.tan(half_apex) + sin_a / math.sin(half_apex)
+    return _like(alpha, 1.0 / denominator)
 
 
 class MeshRoutes(NamedTuple):
@@ -119,10 +123,7 @@ def mesh_oracle_radial(radii_count: int, alpha: float) -> float:
 
 
 def analytic_curve(
-    kind: str,
-    radii_count: int | None,
-    alpha_steps: int,
-    alpha_max: float = math.pi / 4.0,
+    kind: str, radii_count: int | None, alpha_steps: int, alpha_max: float = math.pi / 4
 ) -> list[tuple[float, float]]:
     """Sample one straightness curve on a uniform direction grid.
 
@@ -143,25 +144,19 @@ def analytic_curve(
         evaluate = lambda a: straightness_radial(radii_count, a)  # noqa: E731
     else:
         raise ValueError(f"unknown network kind {kind!r}")
-    rows = []
-    for i in range(alpha_steps):
-        alpha = alpha_max * i / (alpha_steps - 1)
-        rows.append((alpha, evaluate(alpha)))
-    return rows
+    alphas = alpha_max * np.arange(alpha_steps) / (alpha_steps - 1)
+    return list(zip(alphas.tolist(), evaluate(alphas).tolist()))
 
 
-def dominance_fraction(radii_count: int, samples: int = 10001) -> float:
+def dominance_fraction(radii_count: int) -> float:
     """Share of directions in ``[0, pi/4]`` where the radial network wins.
 
-    Uniform grid comparison of the two curves (ties count as a radial
-    win).  Reported as a diagnostic; the crossover claim for small spoke
-    counts holds for the direction-averaged curves rather than pointwise.
+    Uniform grid comparison of the two curves over ``DOMINANCE_SAMPLES``
+    directions (ties count as a radial win).  Reported as a diagnostic; the
+    crossover claim for small spoke counts holds for the direction-averaged
+    curves rather than pointwise.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    wins = 0
-    for i in range(samples):
-        alpha = (math.pi / 4.0) * i / (samples - 1)
-        if straightness_radial(radii_count, alpha) >= straightness_rectilinear(alpha):
-            wins += 1
-    return wins / samples
+    alphas = (math.pi / 4.0) * np.arange(DOMINANCE_SAMPLES) / (DOMINANCE_SAMPLES - 1)
+    radial = straightness_radial(radii_count, alphas)
+    wins = np.count_nonzero(radial >= straightness_rectilinear(alphas))
+    return int(wins) / DOMINANCE_SAMPLES

@@ -40,6 +40,8 @@ DEFAULT_CURVE_RADII = (3, 4, 8, 16)
 
 # Most values a range expression may select; checked before any is built.
 MAX_RANGE_VALUES = 10_000
+# Most rows (networks x steps) a curve table may hold; checked before sampling.
+MAX_CURVE_SAMPLES = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,19 +95,18 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _curve_series(kinds: list[tuple[str, int]], steps: int, alpha_max: float):
-    return [
-        (kind, k, analytic_curve(kind, k, steps, alpha_max)) for kind, k in kinds
-    ]
-
-
 def _cmd_curve(args) -> int:
     kinds: list[tuple[str, int]] = []
     if "rectilinear" in args.kinds:
         kinds.append(("rectilinear", 4))
     if "radial" in args.kinds:
         kinds.extend(("radial", k) for k in args.radii)
-    curves = _curve_series(kinds, args.steps, args.alpha_max)
+    if (count := len(kinds) * args.steps) > MAX_CURVE_SAMPLES:
+        raise ValueError(f"{count} curve samples, more than {MAX_CURVE_SAMPLES=}")
+    curves = [
+        (kind, k, analytic_curve(kind, k, args.steps, args.alpha_max))
+        for kind, k in kinds
+    ]
     write_curve_csv(args.out_csv, curves)
     print(f"curve table: {len(kinds)} network(s) x {args.steps} samples -> {args.out_csv}")
     if args.out_svg:

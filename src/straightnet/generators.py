@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import sector_angle
 from .model import NetworkGraph
 
 # Largest node count a spec may ask for, so that an oversized request fails
@@ -137,7 +138,7 @@ def generate_radioconcentric(spec: RadialSpec) -> NetworkGraph:
     (ring, -side-1 mod k, q-step).
     """
     k, m, q = spec.radii_count, spec.rings_count, spec.side_subdivision
-    theta = 2.0 * math.pi / k
+    theta = sector_angle(k)
     spokes = np.array([(math.cos(r * theta), math.sin(r * theta)) for r in range(k)])
     corners = np.arange(1, m + 1)[:, None, None] * spokes  # [ring - 1, spoke]
     chords = np.roll(corners, -1, axis=1) - corners

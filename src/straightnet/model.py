@@ -237,7 +237,7 @@ def graph_from_json(data: dict) -> NetworkGraph:
     by_id: dict[int, tuple[float, float]] = {}
     for entry in raw_nodes:
         try:
-            node_id = int(entry["id"])
+            node_id = _json_id(entry["id"])
             pos = (float(entry["x"]), float(entry["y"]))
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed node entry: {entry!r}") from exc
@@ -251,10 +251,17 @@ def graph_from_json(data: dict) -> NetworkGraph:
     edges = []
     for entry in raw_edges:
         try:
-            edges.append((int(entry["u"]), int(entry["v"])))
+            edges.append((_json_id(entry["u"]), _json_id(entry["v"])))
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed edge entry: {entry!r}") from exc
     return NetworkGraph(nodes, edges)
+
+
+def _json_id(value) -> int:
+    """``value`` as an int, refusing ``1.9``, ``"3"``, ``true`` and the like."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer id")
+    return int(value)
 
 
 def save_graph(graph: NetworkGraph, path) -> None:

@@ -7,17 +7,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analytic import (
-    canonicalize,
     mesh_oracle_radial,
     sector_angle,
     straightness_radial,
     straightness_rectilinear,
 )
-from .generators import GridSpec, RadialSpec, ring_node_id, side_node_id
+from .generators import GridSpec, RadialSpec, side_node_id
 from .generators import generate_radioconcentric, generate_rectilinear
+from .metrics import straightness_rows
 from .model import NetworkGraph
-from .shortest_paths import dijkstra
 
 TRIG_TOLERANCE = 1e-12  # pure trigonometric identities
 GEOMETRY_TOLERANCE = 1e-9  # coordinate constructions vs. closed forms
@@ -43,15 +44,9 @@ def center_curve_check(graph: NetworkGraph) -> float:
     closed form evaluated at each node's direction.  The corner quadrant is
     fully general thanks to rotation symmetry.
     """
-    row = dijkstra(graph, 0)
-    positions = graph.positions
-    worst = 0.0
-    for node in range(1, graph.node_count):
-        x, y = positions[node]
-        measured = math.hypot(x, y) / row[node]
-        expected = straightness_rectilinear(math.atan2(y, x))
-        worst = max(worst, abs(measured - expected))
-    return worst
+    _, _, _, _, measured = next(straightness_rows(graph, [(0, 1)]))
+    x, y = graph.positions.T
+    return _worst((measured - straightness_rectilinear(np.arctan2(y, x)))[1:])
 
 
 def center_radial_check(graph: NetworkGraph, spec: RadialSpec) -> tuple[float, float]:
@@ -60,41 +55,27 @@ def center_radial_check(graph: NetworkGraph, spec: RadialSpec) -> tuple[float, f
     Needs ``side_subdivision >= 2`` so destinations exist strictly between
     spokes, where the closed form is informative.  Returns
     ``(max_formula_deviation, max_ring_spread)``: the worst disagreement
-    with the reduced closed form over all corner and subdivision nodes, and
-    the worst spread of the measured value across rings for the same
-    angular offset (which the scaling argument says must vanish).
+    with the closed form over all corner and subdivision nodes, and the
+    worst spread of the measured value across rings for the same angular
+    offset (which the scaling argument says must vanish).
     """
-    if spec.side_subdivision < 2:
+    k, m, q = spec.radii_count, spec.rings_count, spec.side_subdivision
+    if q < 2:
         raise ValueError("check needs side_subdivision >= 2")
-    k = spec.radii_count
-    theta = sector_angle(k)
-    row = dijkstra(graph, 0)
-    positions = graph.positions
+    if graph.node_count != 1 + m * k * q:
+        raise ValueError(f"graph has {graph.node_count} nodes, the spec {1 + m * k * q}")
+    _, _, _, _, measured = next(straightness_rows(graph, [(0, 1)]))
+    x, y = graph.positions.T
+    expected = straightness_radial(k, np.arctan2(y, x))
+    # side nodes by ring: row ring - 1 holds every (side, step) of that ring
+    sides = measured[side_node_id(spec, 1, 0, 1) :].reshape(m, -1)
+    spread = sides.max(axis=0) - sides.min(axis=0)
+    return _worst((measured - expected)[1:]), _worst(spread)
 
-    def measured_straightness(node: int) -> float:
-        x, y = positions[node]
-        return math.hypot(x, y) / row[node]
 
-    worst_formula = 0.0
-    for ring in range(1, spec.rings_count + 1):
-        for radius in range(k):
-            node = ring_node_id(spec, ring, radius)
-            # Corner nodes sit on a spoke: the reduced direction is 0.
-            worst_formula = max(worst_formula, abs(measured_straightness(node) - 1.0))
-
-    worst_spread = 0.0
-    for side in range(k):
-        for step in range(1, spec.side_subdivision):
-            across_rings = []
-            for ring in range(1, spec.rings_count + 1):
-                node = side_node_id(spec, ring, side, step)
-                x, y = positions[node]
-                measured = measured_straightness(node)
-                expected = straightness_radial(k, canonicalize(theta, math.atan2(y, x)))
-                worst_formula = max(worst_formula, abs(measured - expected))
-                across_rings.append(measured)
-            worst_spread = max(worst_spread, max(across_rings) - min(across_rings))
-    return worst_formula, worst_spread
+def _worst(deviations: np.ndarray) -> float:
+    """Largest absolute deviation, 0 for none."""
+    return float(np.max(np.abs(deviations), initial=0.0))
 
 
 def check_symmetry() -> CheckResult:
@@ -102,15 +83,9 @@ def check_symmetry() -> CheckResult:
     worst = 0.0
     for k in range(3, 33):
         theta = sector_angle(k)
-        for i in range(334):
-            alpha = 0.5 * theta * (i + 0.5) / 334
-            worst = max(
-                worst,
-                abs(
-                    straightness_radial(k, alpha)
-                    - straightness_radial(k, theta - alpha)
-                ),
-            )
+        alpha = 0.5 * theta * (np.arange(334) + 0.5) / 334
+        reflected = straightness_radial(k, theta - alpha)
+        worst = max(worst, _worst(straightness_radial(k, alpha) - reflected))
     return CheckResult("bisector symmetry", worst, TRIG_TOLERANCE)
 
 
@@ -119,37 +94,28 @@ def check_rotation() -> CheckResult:
     worst = 0.0
     for k in range(3, 17):
         theta = sector_angle(k)
-        for i in range(40):
-            alpha = 0.5 * theta * (i + 0.5) / 40
-            reference = straightness_radial(k, alpha)
-            for turns in (1, 2, 5, k, 3 * k):
-                worst = max(
-                    worst,
-                    abs(straightness_radial(k, alpha + turns * theta) - reference),
-                )
+        alpha = 0.5 * theta * (np.arange(40) + 0.5) / 40
+        turns = np.array([1, 2, 5, k, 3 * k])[:, None]
+        rotated = straightness_radial(k, alpha + turns * theta)
+        worst = max(worst, _worst(rotated - straightness_radial(k, alpha)))
     return CheckResult("sector rotation", worst, TRIG_TOLERANCE)
 
 
 def check_formula_vs_mesh() -> CheckResult:
     """Closed form equals the explicit two-route mesh geometry."""
     worst = 0.0
-    spoke_counts = list(range(3, 33))
-    per_k = -(-1000 // len(spoke_counts))
-    for k in spoke_counts:
-        theta = sector_angle(k)
-        for i in range(per_k):
-            alpha = theta * (i + 0.5) / per_k
-            expected = straightness_radial(k, canonicalize(theta, alpha))
-            worst = max(worst, abs(mesh_oracle_radial(k, alpha) - expected))
+    per_k = 34  # ceil(1000 / 30): at least 1000 directions over the 30 spoke counts
+    for k in range(3, 33):
+        alpha = sector_angle(k) * (np.arange(per_k) + 0.5) / per_k
+        mesh = [mesh_oracle_radial(k, a) for a in alpha.tolist()]
+        worst = max(worst, _worst(np.array(mesh) - straightness_radial(k, alpha)))
     return CheckResult("closed form vs mesh geometry", worst, GEOMETRY_TOLERANCE)
 
 
 def check_boundary_limit() -> CheckResult:
     """With very many spokes the straightness approaches 1 everywhere."""
     theta = sector_angle(10_000)
-    low = min(
-        straightness_radial(10_000, 0.5 * theta * i / 200) for i in range(201)
-    )
+    low = float(np.min(straightness_radial(10_000, 0.5 * theta * np.arange(201) / 200)))
     return CheckResult("many-spokes boundary limit", 1.0 - low, BOUNDARY_TOLERANCE)
 
 
@@ -173,11 +139,8 @@ def check_radial_center() -> tuple[CheckResult, CheckResult]:
 def check_rectilinear_range() -> CheckResult:
     """Grid closed form stays within [1/sqrt(2), 1]."""
     low, high = 1.0 / math.sqrt(2.0), 1.0
-    worst = 0.0
-    for i in range(2000):
-        alpha = math.pi * i / 1999
-        value = straightness_rectilinear(alpha)
-        worst = max(worst, max(low - value, value - high, 0.0))
+    value = straightness_rectilinear(math.pi * np.arange(2000) / 1999)
+    worst = _worst(np.maximum(np.maximum(low - value, value - high), 0.0))
     return CheckResult("grid value range", worst, TRIG_TOLERANCE)
 
 

@@ -6,7 +6,10 @@ enumeration, which is exact for the small graphs (<= ~10 nodes) the
 hand-checked cases use.  ``all_pairs`` and ``pair_straightness`` are the
 plain per-pair path the library's row kernel is checked against, and the
 ``loop_*`` builders are the node-by-node construction the array-built
-generators must reproduce bit for bit.
+generators must reproduce bit for bit.  The ``scalar_*`` closed forms are
+the one-direction-at-a-time ``math`` evaluation the array closed forms
+must equal exactly, and the ``loop_center_*`` checks the per-node center
+checks the row-kernel ones must agree with.
 """
 
 import math
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from straightnet import dijkstra, ring_node_id, side_node_id
+from straightnet import dijkstra, ring_node_id, sector_angle, side_node_id
 
 
 def euclidean_distance(a, b):
@@ -163,3 +166,74 @@ def loop_radioconcentric(spec):
                     rotation.append(side_node_id(spec, ring, (side + 1) % k, step))
                     reflection.append(side_node_id(spec, ring, (-side - 1) % k, q - step))
     return nodes, edges, (rotation, reflection)
+
+
+def scalar_canonicalize(theta, alpha):
+    """Reduce one direction to ``[0, theta/2]`` (rotation, then reflection)."""
+    a = math.fmod(alpha, theta)
+    if a < 0.0:
+        a += theta
+    if a > 0.5 * theta:
+        a = theta - a
+    return a
+
+
+def scalar_straightness_rectilinear(alpha):
+    a = scalar_canonicalize(math.pi / 2.0, alpha)
+    return 1.0 / (math.cos(a) + math.sin(a))
+
+
+def scalar_straightness_radial(radii_count, alpha):
+    theta = sector_angle(radii_count)
+    a = scalar_canonicalize(theta, alpha)
+    half_apex = 0.5 * (math.pi - theta)
+    return 1.0 / (
+        math.cos(a)
+        + math.sin(a) / math.tan(half_apex)
+        + math.sin(a) / math.sin(half_apex)
+    )
+
+
+def loop_center_curve_check(graph):
+    """Worst grid deviation from node 0, one node at a time."""
+    row = dijkstra(graph, 0)
+    positions = graph.positions
+    worst = 0.0
+    for node in range(1, graph.node_count):
+        x, y = positions[node]
+        measured = math.hypot(x, y) / row[node]
+        expected = scalar_straightness_rectilinear(math.atan2(y, x))
+        worst = max(worst, abs(measured - expected))
+    return worst
+
+
+def loop_center_radial_check(graph, spec):
+    """``(formula deviation, ring spread)`` from the center, node by node."""
+    k = spec.radii_count
+    row = dijkstra(graph, 0)
+    positions = graph.positions
+
+    def measured_straightness(node):
+        x, y = positions[node]
+        return math.hypot(x, y) / row[node]
+
+    worst_formula = 0.0
+    for ring in range(1, spec.rings_count + 1):
+        for radius in range(k):
+            node = ring_node_id(spec, ring, radius)
+            # Corner nodes sit on a spoke: the reduced direction is 0.
+            worst_formula = max(worst_formula, abs(measured_straightness(node) - 1.0))
+
+    worst_spread = 0.0
+    for side in range(k):
+        for step in range(1, spec.side_subdivision):
+            across_rings = []
+            for ring in range(1, spec.rings_count + 1):
+                node = side_node_id(spec, ring, side, step)
+                x, y = positions[node]
+                measured = measured_straightness(node)
+                expected = scalar_straightness_radial(k, math.atan2(y, x))
+                worst_formula = max(worst_formula, abs(measured - expected))
+                across_rings.append(measured)
+            worst_spread = max(worst_spread, max(across_rings) - min(across_rings))
+    return worst_formula, worst_spread

@@ -15,6 +15,13 @@ from straightnet import (
     straightness_radial,
     straightness_rectilinear,
 )
+from straightnet.analytic import DOMINANCE_SAMPLES
+
+from oracles import (
+    scalar_canonicalize,
+    scalar_straightness_radial,
+    scalar_straightness_rectilinear,
+)
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -280,23 +287,77 @@ class TestDominance:
 
     def test_eight_spokes_win_share(self):
         # frozen from a 100k-sample evaluation of the same grid comparison
-        assert dominance_fraction(8, 10001) == pytest.approx(0.3438, abs=5e-3)
+        assert dominance_fraction(8) == pytest.approx(0.3438, abs=5e-3)
 
     def test_sixteen_spokes_win_most_directions(self):
-        assert dominance_fraction(16, 10001) > 0.5
+        assert dominance_fraction(16) > 0.5
 
     def test_direction_averaged_crossover_at_eight_spokes(self):
         """Averaged over directions, eight spokes first beat the grid."""
 
         def averaged(evaluate, upper):
             alphas = np.linspace(0.0, upper, 20001)
-            return np.trapezoid([evaluate(a) for a in alphas], alphas) / upper
+            return np.trapezoid(evaluate(alphas), alphas) / upper
 
         grid_mean = averaged(straightness_rectilinear, math.pi / 4)
         seven = averaged(lambda a: straightness_radial(7, a), sector_angle(7) / 2)
         eight = averaged(lambda a: straightness_radial(8, a), sector_angle(8) / 2)
         assert seven < grid_mean < eight
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            dominance_fraction(8, 1)
+    @pytest.mark.parametrize("k", [3, 8, 16])
+    def test_matches_scalar_count(self, k):
+        n = DOMINANCE_SAMPLES
+        alphas = [(math.pi / 4.0) * i / (n - 1) for i in range(n)]
+        wins = sum(
+            scalar_straightness_radial(k, a) >= scalar_straightness_rectilinear(a)
+            for a in alphas
+        )
+        assert dominance_fraction(k) == wins / n
+
+
+# Directions far outside one sector, both signs, plus exact sector multiples.
+WIDE_DIRECTIONS = np.concatenate(
+    [np.linspace(-50.0, 50.0, 4001), [0.0, -0.0, math.pi, -math.pi, 2 * math.pi]]
+)
+
+
+class TestArrayPath:
+    """Arrays of directions give exactly the one-at-a-time ``math`` values."""
+
+    @pytest.mark.parametrize("k", range(3, 33))
+    def test_canonicalize_matches_scalar(self, k):
+        theta = sector_angle(k)
+        alphas = np.concatenate([WIDE_DIRECTIONS, theta * np.arange(-3, 4)])
+        expected = [scalar_canonicalize(theta, a) for a in alphas.tolist()]
+        assert canonicalize(theta, alphas).tolist() == expected
+
+    @pytest.mark.parametrize("k", range(3, 33))
+    def test_radial_matches_scalar(self, k):
+        alphas = np.concatenate([WIDE_DIRECTIONS, sector_angle(k) * np.arange(-3, 4)])
+        expected = [scalar_straightness_radial(k, a) for a in alphas.tolist()]
+        assert straightness_radial(k, alphas).tolist() == expected
+
+    def test_rectilinear_matches_scalar(self):
+        expected = [scalar_straightness_rectilinear(a) for a in WIDE_DIRECTIONS.tolist()]
+        assert straightness_rectilinear(WIDE_DIRECTIONS).tolist() == expected
+
+    @pytest.mark.parametrize("k", [3, 8, 32])
+    def test_curve_matches_scalar_loop(self, k):
+        steps, alpha_max = 1001, 6.3
+        alphas = [alpha_max * i / (steps - 1) for i in range(steps)]
+        expected = [(a, scalar_straightness_radial(k, a)) for a in alphas]
+        assert analytic_curve("radial", k, steps, alpha_max) == expected
+
+    def test_scalar_in_gives_float_out(self):
+        assert type(canonicalize(math.pi / 2, 2.0)) is float
+        assert type(straightness_rectilinear(0.3)) is float
+        assert type(straightness_radial(8, np.float64(0.3))) is float
+
+    def test_array_shape_is_kept(self):
+        alphas = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        assert straightness_radial(5, alphas).shape == (2, 3)
+        assert straightness_rectilinear(alphas).shape == (2, 3)
+
+    def test_any_non_finite_direction_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            straightness_radial(8, np.array([0.1, math.nan]))

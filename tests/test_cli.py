@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from straightnet import dijkstra, load_graph
-from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
+from straightnet.cli import MAX_CURVE_SAMPLES, MAX_RANGE_VALUES, _parse_range, main
 from straightnet.tables import read_table
 
 
@@ -68,6 +68,22 @@ class TestGen:
 
 
 class TestCurve:
+    def test_sample_cap_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        from straightnet import cli
+
+        def never(*args):
+            raise AssertionError("sampled a curve over the cap")
+
+        monkeypatch.setattr(cli, "analytic_curve", never)
+        csv_path = tmp_path / "curves.csv"
+        steps = MAX_CURVE_SAMPLES + 1
+        args = ("curve", "--kinds", "rectilinear", "--steps", steps)
+        assert run_cli(*args, "--out-csv", csv_path) == 1
+        assert not csv_path.exists()
+        err = capsys.readouterr().err
+        assert f"{steps} curve samples, more than MAX_CURVE_SAMPLES" in err
+        assert err.count("\n") == 1
+
     def test_default_network_set(self, tmp_path):
         csv_path = tmp_path / "curves.csv"
         assert run_cli("curve", "--steps", 9, "--out-csv", csv_path) == 0
@@ -213,8 +229,10 @@ class TestStraightness:
             '{"nodes": [], "edges": null}',
             '{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
             ' "edges": [{"u": 0, "v": Infinity}]}',
+            '{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1.9, "x": 1, "y": 0}],'
+            ' "edges": [{"u": 0, "v": 1}]}',
         ],
-        ids=["int-nodes", "null-edges", "infinite-id"],
+        ids=["int-nodes", "null-edges", "infinite-id", "fractional-id"],
     )
     def test_malformed_graph_is_one_line_usage_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -318,7 +336,7 @@ class TestValidate:
         assert "made-up check" in captured.err
 
     def test_checks_search_each_graph_once(self, monkeypatch):
-        from straightnet import validation
+        from straightnet import metrics, validation
 
         sources = []
 
@@ -326,7 +344,7 @@ class TestValidate:
             sources.append(source)
             return dijkstra(graph, source)
 
-        monkeypatch.setattr(validation, "dijkstra", counting)
+        monkeypatch.setattr(metrics, "dijkstra", counting)
         names = [r.name for r in validation.run_all_checks()]
         assert len(sources) == 2  # grid s=10 and the (8, 3, 4) wheel
         assert names[-3:] == [

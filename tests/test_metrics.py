@@ -339,6 +339,12 @@ class TestCenterRadialCheck:
         with pytest.raises(ValueError, match="subdivision"):
             center_radial_check(g, spec)
 
+    @pytest.mark.parametrize("spec", [RadialSpec(4, 2, 2), RadialSpec(5, 1, 2)])
+    def test_graph_of_another_spec_rejected(self, spec):
+        g = generate_radioconcentric(RadialSpec(4, 1, 2))
+        with pytest.raises(ValueError, match="graph has 9 nodes"):
+            center_radial_check(g, spec)
+
     def test_detects_arc_shaped_sides(self):
         """Nodes placed on the circle instead of the chord must be flagged."""
         spec = RadialSpec(6, 1, 4)
@@ -361,6 +367,27 @@ class TestCenterRadialCheck:
         arc_graph = NetworkGraph(nodes, edges)
         formula_dev, _ = center_radial_check(arc_graph, spec)
         assert formula_dev > 1e-3
+
+
+class TestCenterChecksMatchLoopReference:
+    """The row-kernel center checks against the per-node loops they replace."""
+
+    @pytest.mark.parametrize("size", range(1, 41))
+    def test_grid(self, size):
+        graph = generate_rectilinear(GridSpec(size))
+        reference = oracles.loop_center_curve_check(graph)
+        assert center_curve_check(graph) == pytest.approx(reference, abs=1e-14)
+
+    @pytest.mark.parametrize("k", range(3, 25))
+    def test_wheels(self, k):
+        for m in range(1, 7):
+            for q in range(2, 6):
+                spec = RadialSpec(k, m, q)
+                graph = generate_radioconcentric(spec)
+                reference = oracles.loop_center_radial_check(graph, spec)
+                assert center_radial_check(graph, spec) == pytest.approx(
+                    reference, abs=1e-14
+                )
 
 
 def test_grid_node_helper_agrees_with_check():

@@ -174,6 +174,9 @@ class TestSymmetries:
         assert len(restored.orbits) == restored.node_count
 
 
+THREE_NODES = [{"id": i, "x": i, "y": 0} for i in range(3)]
+
+
 class TestGraphJson:
     def test_dict_round_trip(self):
         g = generate_radioconcentric(RadialSpec(4, 2))
@@ -243,6 +246,26 @@ class TestGraphJson:
     def test_infinite_ids_rejected(self, nodes, edges, kind):
         with pytest.raises(ValueError, match=f"malformed {kind} entry"):
             graph_from_json({"nodes": nodes, "edges": edges})
+
+    @pytest.mark.parametrize(
+        "nodes, edges, kind",
+        [
+            ([{"id": 0, "x": 0, "y": 0}, {"id": 1.9, "x": 1, "y": 0}], [], "node"),
+            ([{"id": 0, "x": 0, "y": 0}, {"id": "1", "x": 1, "y": 0}], [], "node"),
+            (THREE_NODES, [{"u": 0.7, "v": 1}], "edge"),
+            (THREE_NODES, [{"u": 1, "v": 2.2}], "edge"),
+            (THREE_NODES, [{"u": "0", "v": 1}], "edge"),
+            (THREE_NODES, [{"u": 0, "v": True}], "edge"),
+        ],
+    )
+    def test_non_integer_ids_rejected(self, nodes, edges, kind):
+        with pytest.raises(ValueError, match=f"malformed {kind} entry"):
+            graph_from_json({"nodes": nodes, "edges": edges})
+
+    def test_integral_float_ids_accepted(self):
+        nodes = [{"id": 0.0, "x": 0, "y": 0}, {"id": 1.0, "x": 1, "y": 0}]
+        graph = graph_from_json({"nodes": nodes, "edges": [{"u": 0, "v": 1.0}]})
+        assert graph.edges.tolist() == [[0, 1]]
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
