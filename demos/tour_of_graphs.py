@@ -11,9 +11,7 @@ from straightnet import (
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
-    grid_node_id,
     load_graph,
-    ring_node_id,
     save_graph,
 )
 
@@ -24,14 +22,16 @@ OUT.mkdir(exist_ok=True)
 grid_spec = GridSpec(4)
 grid = generate_rectilinear(grid_spec)
 print(f"grid:  {grid}")
-print(f"  node (3, 4) has id {grid_node_id(grid_spec, 3, 4)} at {grid.positions[23].tolist()}")
+node = 4 * (grid_spec.squares_per_side + 1) + 3  # ids run row by row: j * (s + 1) + i
+print(f"  node (3, 4) has id {node} at {grid.positions[node].tolist()}")
 print(f"  every edge has unit length: {set(grid.edge_lengths.tolist())}")
 
 # A radio-concentric network: 8 spokes, 2 rings, sides kept as single chords.
 wheel_spec = RadialSpec(radii_count=8, rings_count=2)
 wheel = generate_radioconcentric(wheel_spec)
 print(f"wheel: {wheel}")
-start, end = wheel.positions[[ring_node_id(wheel_spec, 1, 0), ring_node_id(wheel_spec, 1, 1)]]
+# Node 0 is the center; the first ring's corners follow, spoke by spoke.
+start, end = wheel.positions[[1, 2]]
 print(f"  first ring node on spoke 1 sits at ({end[0]:.6f}, {end[1]:.6f})")
 chord = math.dist(start, end)
 print(f"  inner side chord length: {chord:.6f} (= 2 sin(pi/8) = {2 * math.sin(math.pi / 8):.6f})")

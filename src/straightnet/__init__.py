@@ -22,9 +22,6 @@ from .generators import (
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
-    grid_node_id,
-    ring_node_id,
-    side_node_id,
 )
 from .metrics import straightness_rows, summarize
 from .model import (
@@ -63,17 +60,14 @@ __all__ = [
     "generate_rectilinear",
     "graph_from_json",
     "graph_to_json",
-    "grid_node_id",
     "load_graph",
     "mesh_oracle_radial",
     "mesh_routes",
     "render_svg",
-    "ring_node_id",
     "run_all_checks",
     "save_graph",
     "sector_angle",
     "series_from_table",
-    "side_node_id",
     "straightness_radial",
     "straightness_rectilinear",
     "straightness_rows",

@@ -134,7 +134,8 @@ def analytic_curve(
     """
     if alpha_steps < 2:
         raise ValueError("alpha_steps must be at least 2")
-    if not (math.isfinite(alpha_max) and alpha_max > 0.0):
+    # the largest sample, alpha_max * (alpha_steps - 1), must not overflow
+    if not (math.isfinite(alpha_max * (alpha_steps - 1)) and alpha_max > 0.0):
         raise ValueError("alpha_max must be finite and positive")
     if kind == "rectilinear":
         evaluate = straightness_rectilinear

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +23,7 @@ class GridSpec:
     squares_per_side: int
 
     def __post_init__(self):
+        _check_integers(self)
         if self.squares_per_side < 1:
             raise ValueError("squares_per_side must be at least 1")
         _check_node_count((self.squares_per_side + 1) ** 2)
@@ -44,6 +46,7 @@ class RadialSpec:
     side_subdivision: int = 1
 
     def __post_init__(self):
+        _check_integers(self)
         if self.radii_count < 3:
             raise ValueError("radii_count must be at least 3 (sides undefined below)")
         if self.rings_count < 1:
@@ -55,17 +58,17 @@ class RadialSpec:
         )
 
 
+def _check_integers(spec) -> None:
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{field.name} must be an integer, not {value!r}")
+        object.__setattr__(spec, field.name, int(value))  # numpy ints can overflow
+
+
 def _check_node_count(count: int) -> None:
     if count > MAX_NODES:
         raise ValueError(f"{count} nodes requested, more than MAX_NODES = {MAX_NODES}")
-
-
-def grid_node_id(spec: GridSpec, i: int, j: int) -> int:
-    """Row-major node id of grid position ``(i, j)``."""
-    n = spec.squares_per_side + 1
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"grid position ({i}, {j}) outside 0..{n - 1}")
-    return j * n + i
 
 
 def generate_rectilinear(spec: GridSpec) -> NetworkGraph:
@@ -92,34 +95,6 @@ def generate_rectilinear(spec: GridSpec) -> NetworkGraph:
 def _links(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """``(E, 2)`` edge block joining ``tails`` to ``heads`` element-wise."""
     return np.column_stack([tails.ravel(), heads.ravel()])
-
-
-def ring_node_id(spec: RadialSpec, ring: int, radius: int) -> int:
-    """Id of the corner node on ``ring`` (1-based) along spoke ``radius``."""
-    if not 1 <= ring <= spec.rings_count:
-        raise ValueError(f"ring {ring} outside 1..{spec.rings_count}")
-    if not 0 <= radius < spec.radii_count:
-        raise ValueError(f"radius index {radius} outside 0..{spec.radii_count - 1}")
-    return 1 + (ring - 1) * spec.radii_count + radius
-
-
-def side_node_id(spec: RadialSpec, ring: int, side: int, step: int) -> int:
-    """Id of interior subdivision node ``step`` (1..q-1) on a side chord.
-
-    ``side`` i is the chord from spoke i to spoke i+1 (mod k) on ``ring``.
-    Only defined when ``side_subdivision > 1``.
-    """
-    q = spec.side_subdivision
-    if q < 2:
-        raise ValueError("graph has no subdivision nodes (side_subdivision is 1)")
-    if not 1 <= ring <= spec.rings_count:
-        raise ValueError(f"ring {ring} outside 1..{spec.rings_count}")
-    if not 0 <= side < spec.radii_count:
-        raise ValueError(f"side index {side} outside 0..{spec.radii_count - 1}")
-    if not 1 <= step <= q - 1:
-        raise ValueError(f"step {step} outside 1..{q - 1}")
-    base = 1 + spec.rings_count * spec.radii_count
-    return base + ((ring - 1) * spec.radii_count + side) * (q - 1) + (step - 1)
 
 
 def generate_radioconcentric(spec: RadialSpec) -> NetworkGraph:

@@ -40,10 +40,7 @@ def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     positions = graph.positions
     for source, weight in sources:
         d_g = dijkstra(graph, source)
-        d_s = np.hypot(
-            positions[:, 0] - positions[source, 0],
-            positions[:, 1] - positions[source, 1],
-        )
+        d_s = np.hypot(*(positions - positions[source]).T)
         ratio = np.full(len(d_g), math.nan)
         np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))
         yield source, weight, d_s, d_g, ratio

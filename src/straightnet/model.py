@@ -274,6 +274,6 @@ def save_graph(graph: NetworkGraph, path) -> None:
 def load_graph(path) -> NetworkGraph:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     return graph_from_json(data)

@@ -23,13 +23,11 @@ def dijkstra(graph: NetworkGraph, source: int) -> np.ndarray:
     adjacency = graph.adjacency
     dist = [math.inf] * n
     dist[source] = 0.0
-    settled = bytearray(n)
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
         d, u = heappop(heap)
-        if settled[u]:
+        if d > dist[u]:  # stale: pushes happen only on strict improvement
             continue
-        settled[u] = 1
         for v, w in adjacency[u]:
             nd = d + w
             if nd < dist[v]:

@@ -48,9 +48,7 @@ def sweep_rectilinear(sizes: Iterable[int]) -> list[SweepResult]:
     cells = []
     for size in sizes:
         if not 1 <= size <= MAX_GRID_SWEEP_SIZE:
-            raise ValueError(
-                f"grid size {size} outside 1..{MAX_GRID_SWEEP_SIZE}"
-            )
+            raise ValueError(f"grid size {size} outside 1..{MAX_GRID_SWEEP_SIZE}")
         cells.append(({"squares_per_side": size}, GridSpec(size)))
     return _sweep(generate_rectilinear, cells)
 

@@ -89,7 +89,14 @@ def write_pairs_csv(path, rows: Iterable[tuple]) -> Iterator[tuple]:
 def read_table(path) -> tuple[list[str], list[dict[str, str]]]:
     """Read a CSV produced by the writers above; values stay as strings."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty table")
-        return list(reader.fieldnames), list(reader)
+        rows = []
+        for fields in filter(None, reader):  # blank lines are skipped
+            if len(fields) != len(header):
+                counts = f"{len(fields)} fields, the header {len(header)}"
+                raise ValueError(f"{path}: line {reader.line_num} has {counts}")
+            rows.append(dict(zip(header, fields)))
+        return header, rows

@@ -15,7 +15,7 @@ from .analytic import (
     straightness_radial,
     straightness_rectilinear,
 )
-from .generators import GridSpec, RadialSpec, side_node_id
+from .generators import GridSpec, RadialSpec
 from .generators import generate_radioconcentric, generate_rectilinear
 from .metrics import straightness_rows
 from .model import NetworkGraph
@@ -67,8 +67,8 @@ def center_radial_check(graph: NetworkGraph, spec: RadialSpec) -> tuple[float, f
     _, _, _, _, measured = next(straightness_rows(graph, [(0, 1)]))
     x, y = graph.positions.T
     expected = straightness_radial(k, np.arctan2(y, x))
-    # side nodes by ring: row ring - 1 holds every (side, step) of that ring
-    sides = measured[side_node_id(spec, 1, 0, 1) :].reshape(m, -1)
+    # side nodes follow the center and the m*k corners, one row per ring
+    sides = measured[1 + m * k :].reshape(m, -1)
     spread = sides.max(axis=0) - sides.min(axis=0)
     return _worst((measured - expected)[1:]), _worst(spread)
 

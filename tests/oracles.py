@@ -9,7 +9,9 @@ plain per-pair path the library's row kernel is checked against, and the
 generators must reproduce bit for bit.  The ``scalar_*`` closed forms are
 the one-direction-at-a-time ``math`` evaluation the array closed forms
 must equal exactly, and the ``loop_center_*`` checks the per-node center
-checks the row-kernel ones must agree with.
+checks the row-kernel ones must agree with.  The scalar ``*_node_id``
+one-liners state the generators' node-id layout independently of
+``src/``, so the loop builders and the tests index nodes through them.
 """
 
 import math
@@ -17,7 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from straightnet import dijkstra, ring_node_id, sector_angle, side_node_id
+from straightnet import dijkstra, sector_angle
+
+
+def grid_node_id(spec, i, j):
+    """Row-major id of grid position ``(i, j)``."""
+    return j * (spec.squares_per_side + 1) + i
+
+
+def ring_node_id(spec, ring, radius):
+    """Id of the corner on ``ring`` (1-based) along spoke ``radius``."""
+    return 1 + (ring - 1) * spec.radii_count + radius
+
+
+def side_node_id(spec, ring, side, step):
+    """Id of node ``step`` (1..q-1) on the chord from spoke ``side`` on ``ring``."""
+    k, q = spec.radii_count, spec.side_subdivision
+    return 1 + spec.rings_count * k + ((ring - 1) * k + side) * (q - 1) + step - 1
 
 
 def euclidean_distance(a, b):
@@ -110,12 +128,12 @@ def loop_rectilinear(spec):
     edges = []
     for j in range(n):
         for i in range(s):
-            edges.append((j * n + i, j * n + i + 1))
+            edges.append((grid_node_id(spec, i, j), grid_node_id(spec, i + 1, j)))
     for j in range(s):
         for i in range(n):
-            edges.append((j * n + i, (j + 1) * n + i))
-    quarter_turn = [i * n + (s - j) for j in range(n) for i in range(n)]
-    diagonal = [i * n + j for j in range(n) for i in range(n)]
+            edges.append((grid_node_id(spec, i, j), grid_node_id(spec, i, j + 1)))
+    quarter_turn = [grid_node_id(spec, s - j, i) for j in range(n) for i in range(n)]
+    diagonal = [grid_node_id(spec, j, i) for j in range(n) for i in range(n)]
     return nodes, edges, (quarter_turn, diagonal)
 
 

@@ -22,9 +22,7 @@ from straightnet import (
     dijkstra,
     generate_radioconcentric,
     generate_rectilinear,
-    grid_node_id,
     mesh_oracle_radial,
-    ring_node_id,
     sector_angle,
     straightness_radial,
     summarize,
@@ -34,7 +32,7 @@ from straightnet import (
 from straightnet.cli import main
 
 import oracles
-from oracles import all_pairs, pair_straightness
+from oracles import all_pairs, grid_node_id, pair_straightness, ring_node_id
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

@@ -17,17 +17,14 @@ PUBLIC_NAMES = [
     "generate_rectilinear",
     "graph_from_json",
     "graph_to_json",
-    "grid_node_id",
     "load_graph",
     "mesh_oracle_radial",
     "mesh_routes",
     "render_svg",
-    "ring_node_id",
     "run_all_checks",
     "save_graph",
     "sector_angle",
     "series_from_table",
-    "side_node_id",
     "straightness_radial",
     "straightness_rectilinear",
     "straightness_rows",

@@ -136,6 +136,14 @@ class TestCurve:
     def test_step_guard(self, tmp_path):
         assert run_cli("curve", "--steps", 1, "--out-csv", tmp_path / "c.csv") == 1
 
+    def test_overflowing_alpha_max_refused(self, tmp_path, capsys):
+        # 1e308 is finite, but the last of 3 samples, 2 * 1e308, is not
+        args = ("curve", "--steps", 3, "--alpha-max", "1e308")
+        assert run_cli(*args, "--out-csv", tmp_path / "c.csv") == 1
+        err = capsys.readouterr().err
+        assert "alpha_max must be finite and positive" in err
+        assert err.count("\n") == 1
+
 
 class TestSweeps:
     def test_rect_sweep(self, tmp_path):
@@ -221,6 +229,13 @@ class TestStraightness:
         bad = tmp_path / "bad.json"
         bad.write_text("{]", encoding="utf-8")
         assert run_cli("straightness", bad) == 1
+
+    def test_deeply_nested_file_is_one_line_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert run_cli("straightness", deep) == 1
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -406,6 +421,19 @@ class TestPlot:
         empty = tmp_path / "e.csv"
         empty.write_text("alpha,straightness,network,k\n", encoding="utf-8")
         assert run_cli("plot", empty, "--out", tmp_path / "e.svg") == 1
+
+    @pytest.mark.parametrize(
+        "row, fields", [("0.2", 1), ("0.2,0.8,radial,8,9", 5)], ids=["short", "long"]
+    )
+    def test_ragged_row_rejected(self, tmp_path, capsys, row, fields):
+        table = tmp_path / "r.csv"
+        table.write_text(
+            f"alpha,straightness,network,k\n0.1,0.9,radial,8\n{row}\n", encoding="utf-8"
+        )
+        assert run_cli("plot", table, "--out", tmp_path / "r.svg") == 1
+        err = capsys.readouterr().err
+        assert err == f"straightnet: {table}: line 3 has {fields} fields, the header 4\n"
+        assert not (tmp_path / "r.svg").exists()
 
 
 class TestArgumentHandling:

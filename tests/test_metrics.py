@@ -16,17 +16,20 @@ from straightnet import (
     generate_rectilinear,
     graph_from_json,
     graph_to_json,
-    grid_node_id,
     metrics,
-    ring_node_id,
-    side_node_id,
     straightness_rows,
     summarize,
 )
 from straightnet.tables import format_angle, format_ratio, read_table, write_pairs_csv
 
 import oracles
-from oracles import all_pairs, pair_straightness
+from oracles import (
+    all_pairs,
+    grid_node_id,
+    pair_straightness,
+    ring_node_id,
+    side_node_id,
+)
 
 SQRT7_OVER_1_PLUS_SQRT3 = math.sqrt(7.0) / (1.0 + math.sqrt(3.0))  # 0.9684121919...
 

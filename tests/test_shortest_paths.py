@@ -10,12 +10,10 @@ from straightnet import (
     dijkstra,
     generate_radioconcentric,
     generate_rectilinear,
-    grid_node_id,
-    ring_node_id,
 )
 
 import oracles
-from oracles import all_pairs
+from oracles import all_pairs, grid_node_id, ring_node_id
 
 
 class TestDijkstra:
