@@ -89,7 +89,7 @@ def generate_rectilinear(spec: GridSpec) -> NetworkGraph:
     nodes = np.column_stack([i, j]).astype(float)
     edges = np.concatenate([_links(ids[:, :-1], ids[:, 1:]), _links(ids[:-1], ids[1:])])
     quarter_turn, diagonal = ids.T[::-1].ravel(), ids.T.ravel()
-    return NetworkGraph(nodes, edges.tolist(), symmetries=(quarter_turn, diagonal))
+    return NetworkGraph(nodes, edges, symmetries=(quarter_turn, diagonal))
 
 
 def _links(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -135,4 +135,4 @@ def generate_radioconcentric(spec: RadialSpec) -> NetworkGraph:
     reflection = np.concatenate(
         [[0], np.roll(corner[:, ::-1], 1, axis=1).ravel(), side[:, ::-1, ::-1].ravel()]
     )
-    return NetworkGraph(nodes, edges.tolist(), symmetries=(rotation, reflection))
+    return NetworkGraph(nodes, edges, symmetries=(rotation, reflection))

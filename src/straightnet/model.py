@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ class NetworkGraph:
     Edges are straight segments; their lengths are always derived from the
     endpoint positions, never stored independently, so geometry and edge
     weight cannot disagree.  Edges may cross without meeting at a node.
+    The input is checked and stored as whole arrays, plus the tuple
+    adjacency that Dijkstra reads.
 
     Parameters
     ----------
@@ -37,9 +40,10 @@ class NetworkGraph:
     Raises
     ------
     ValueError
-        On duplicate positions, invalid ids, self-loops, repeated edges,
-        edge lengths whose total overflows, or a symmetry that is not a
-        permutation, breaks an edge or is not a rigid motion of the positions.
+        On duplicate positions, edges that are not ``(u, v)`` pairs, invalid
+        ids, self-loops, repeated edges, edge lengths whose total overflows,
+        or a symmetry that is not a permutation, breaks an edge or is not a
+        rigid motion of the positions.
     """
 
     __slots__ = (
@@ -49,63 +53,63 @@ class NetworkGraph:
     def __init__(self, nodes, edges, symmetries=()) -> None:
         # copy so freezing the array never affects a caller-owned buffer
         positions = np.atleast_2d(np.array(nodes, dtype=float))
-        if positions.size == 0:
-            positions = positions.reshape(0, 2)
+        positions = positions.reshape(0, 2) if positions.size == 0 else positions
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("nodes must be a sequence of (x, y) pairs")
         if not np.all(np.isfinite(positions)):
             raise ValueError("node coordinates must be finite")
 
-        seen: dict[tuple[float, float], int] = {}
-        for i in range(len(positions)):
-            key = (float(positions[i, 0]), float(positions[i, 1]))
-            if key in seen:
-                raise ValueError(
-                    f"nodes {seen[key]} and {i} share the position {key}"
-                )
-            seen[key] = i
+        order = np.lexsort(positions.T)  # equal positions end up side by side
+        repeats = order[1:][np.all(positions[order[1:]] == positions[order[:-1]], axis=1)]
+        if len(repeats):
+            j = repeats.min()
+            key = tuple(positions[j].tolist())
+            i = np.all(positions == key, axis=1).argmax()
+            raise ValueError(f"nodes {i} and {j} share the position {key}")
 
         n = len(positions)
-        pairs: list[tuple[int, int]] = []
-        known: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
+        try:
+            given = np.array(edges, dtype=np.int64)
+        except OverflowError:  # an id past int64 names no node either
+            given = np.array(edges, dtype=object)
+        given = given.reshape(0, 2) if given.shape == (0,) else given
+        if given.ndim != 2 or given.shape[1] != 2:
+            raise ValueError("edges must be a sequence of (u, v) pairs")
+        # each check covers the whole array; the first faulty edge names the error
+        unknown = np.any((given < 0) | (given >= n), axis=1)
+        edge_arr = np.sort(np.where(unknown[:, None], 0, given).astype(np.int64), axis=1)
+        # keys[k] = u * n + v of the k-th distinct edge, first seen in row first[k]
+        keys, first = np.unique(edge_arr[:, 0] * n + edge_arr[:, 1], return_index=True)
+        loops = edge_arr[:, 0] == edge_arr[:, 1]
+        faults = unknown | loops | (np.bincount(first, minlength=len(given)) == 0)
+        if faults.any():
+            e = faults.argmax()
+            (u, v), (a, b) = given[e].tolist(), edge_arr[e].tolist()
+            if unknown[e]:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node id")
-            if u == v:
-                raise ValueError(f"self-loop on node {u} is not allowed")
-            pair = (u, v) if u < v else (v, u)
-            if pair in known:
-                raise ValueError(f"duplicate edge {pair}")
-            known.add(pair)
-            pairs.append(pair)
-
-        edge_arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        if len(pairs):
-            du = positions[edge_arr[:, 0]] - positions[edge_arr[:, 1]]
-            lengths = np.hypot(du[:, 0], du[:, 1])
-        else:
-            lengths = np.zeros(0)
+            raise ValueError(f"self-loop on node {a} is not allowed" if loops[e]
+                             else f"duplicate edge {(a, b)}")
+        du = positions[edge_arr[:, 0]] - positions[edge_arr[:, 1]]
+        lengths = np.hypot(du[:, 0], du[:, 1])
         if not math.isfinite(sum(lengths.tolist())):
             raise ValueError("edge lengths overflow: their total is not finite")
 
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (u, v), w in zip(pairs, lengths):
-            w = float(w)
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
+        # arcs 2e, 2e+1 run along edge e; a stable sort by tail keeps edge order
+        order = np.argsort(edge_arr.ravel(), kind="stable")
+        heads = edge_arr[:, ::-1].ravel()[order].tolist()
+        arcs = list(zip(heads, np.repeat(lengths, 2)[order].tolist()))
+        ends = np.cumsum(np.bincount(edge_arr.ravel(), minlength=n)).tolist()
+        adjacency = tuple(tuple(arcs[a:b]) for a, b in zip([0, *ends], ends))
 
-        perms = tuple(_check_symmetry(p, positions, pairs, known) for p in symmetries)
+        perms = tuple(_check_symmetry(p, positions, edge_arr, keys) for p in symmetries)
 
         for arr in (positions, edge_arr, lengths, *perms):
             arr.setflags(write=False)
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "_edges", edge_arr)
-        object.__setattr__(self, "_lengths", lengths)
-        object.__setattr__(self, "_adjacency", tuple(tuple(a) for a in adjacency))
-        object.__setattr__(self, "_symmetries", perms)
-        links = ((u, v) for p in perms for u, v in enumerate(p.tolist()))
-        object.__setattr__(self, "_orbits", _classes(n, links))
+        ids = np.arange(n)
+        orbits = _classes(n, np.tile(ids, len(perms)), np.concatenate([ids[:0], *perms]))
+        fields = (positions, edge_arr, lengths, adjacency, perms, orbits)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("NetworkGraph is immutable")
@@ -155,30 +159,27 @@ class NetworkGraph:
 
     def components(self) -> tuple[tuple[int, int], ...]:
         """``(lowest id, size)`` per connected component, like :attr:`orbits`."""
-        return _classes(self.node_count, self._edges.tolist())
+        return _classes(self.node_count, *self._edges.T)
 
     def __repr__(self) -> str:
         return f"NetworkGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def _check_symmetry(perm, positions, pairs, known) -> np.ndarray:
-    """Validate one automorphism in O(N + E) and return it as an int array."""
+def _check_symmetry(perm, positions, edges, keys) -> np.ndarray:
+    """Validate one automorphism against the sorted edge ``keys``; return it."""
     n = len(positions)
     perm = np.array(perm, dtype=np.int64)
-    if (
-        perm.shape != (n,)
-        or (n and (perm.min() < 0 or perm.max() >= n))
-        or not np.all(np.bincount(perm, minlength=n) == 1)
-    ):
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"symmetry is not a permutation of the {n} node ids")
-    image = perm.tolist()
-    for u, v in pairs:
-        a, b = image[u], image[v]
-        if ((a, b) if a < b else (b, a)) not in known:
-            raise ValueError(f"symmetry maps edge ({u}, {v}) onto a non-edge ({a}, {b})")
+    image = perm[edges]
+    kept = np.isin(image.min(axis=1) * n + image.max(axis=1), keys, assume_unique=True)
+    if not kept.all():
+        e = kept.argmin()
+        (u, v), (a, b) = edges[e].tolist(), image[e].tolist()
+        raise ValueError(f"symmetry maps edge ({u}, {v}) onto a non-edge ({a}, {b})")
     # A permutation keeps the centroid, so a rigid motion fixes it and is
     # the orthogonal map that best fits the centered points (Procrustes).
-    centered = positions - positions.mean(axis=0)
+    centered = positions - positions.sum(axis=0) / max(n, 1)  # np.mean warns on 0 nodes
     moved = centered[perm]
     left, _, right = np.linalg.svd(centered.T @ moved)
     residual = np.abs(centered @ (left @ right) - moved).max(initial=0.0)
@@ -189,25 +190,23 @@ def _check_symmetry(perm, positions, pairs, known) -> np.ndarray:
     return perm
 
 
-def _classes(n: int, links) -> tuple[tuple[int, int], ...]:
-    """``(lowest id, size)`` per class the ``(u, v)`` links join (union-find)."""
-    parent = list(range(n))
+def _classes(n: int, u, v) -> tuple[tuple[int, int], ...]:
+    """``(lowest id, size)`` per class that the links ``u[i]``--``v[i]`` join.
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in links:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    sizes: dict[int, int] = {}
-    for v in range(n):
-        root = find(v)
-        sizes[root] = sizes.get(root, 0) + 1
-    return tuple(sizes.items())
+    Each round points every node at its root, then hooks the larger root
+    of each link across two classes onto the smaller one.  Roots only
+    decrease, so each class ends at its lowest id.
+    """
+    root = np.arange(n)
+    while True:
+        while not np.array_equal(up := root[root], root):
+            root = up
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+    reps, sizes = np.unique(root, return_counts=True)
+    return tuple(zip(reps.tolist(), sizes.tolist()))
 
 
 def graph_to_json(graph: NetworkGraph) -> dict:
@@ -234,27 +233,28 @@ def graph_from_json(data: dict) -> NetworkGraph:
         raise ValueError("graph JSON must contain 'nodes' and 'edges' lists")
     raw_nodes, raw_edges = data["nodes"], data["edges"]
 
-    by_id: dict[int, tuple[float, float]] = {}
+    ids, nodes = [], []
     for entry in raw_nodes:
         try:
-            node_id = _json_id(entry["id"])
-            pos = (float(entry["x"]), float(entry["y"]))
+            ids.append(_json_id(entry["id"]))
+            nodes.append((float(entry["x"]), float(entry["y"])))
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed node entry: {entry!r}") from exc
-        if node_id in by_id:
-            raise ValueError(f"node id {node_id} appears twice")
-        by_id[node_id] = pos
-    if set(by_id) != set(range(len(by_id))):
+            raise ValueError(f"malformed node entry: {reprlib.repr(entry)}") from exc
+    ids = np.array(ids, dtype=object)  # keeps ids past int64 exact
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if len(repeats):
+        raise ValueError(f"node id {ids[repeats.min()]} appears twice")
+    if not np.array_equal(ids[order], np.arange(len(ids))):
         raise ValueError("node ids must be dense integers 0..N-1")
-    nodes = [by_id[i] for i in range(len(by_id))]
 
     edges = []
     for entry in raw_edges:
         try:
             edges.append((_json_id(entry["u"]), _json_id(entry["v"])))
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed edge entry: {entry!r}") from exc
-    return NetworkGraph(nodes, edges)
+            raise ValueError(f"malformed edge entry: {reprlib.repr(entry)}") from exc
+    return NetworkGraph(np.array(nodes)[order], edges)
 
 
 def _json_id(value) -> int:

@@ -90,13 +90,16 @@ def read_table(path) -> tuple[list[str], list[dict[str, str]]]:
     """Read a CSV produced by the writers above; values stay as strings."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty table")
-        rows = []
-        for fields in filter(None, reader):  # blank lines are skipped
-            if len(fields) != len(header):
-                counts = f"{len(fields)} fields, the header {len(header)}"
-                raise ValueError(f"{path}: line {reader.line_num} has {counts}")
-            rows.append(dict(zip(header, fields)))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty table")
+            rows = []
+            for fields in filter(None, reader):  # blank lines are skipped
+                if len(fields) != len(header):
+                    counts = f"{len(fields)} fields, the header {len(header)}"
+                    raise ValueError(f"{path}: line {reader.line_num} has {counts}")
+                rows.append(dict(zip(header, fields)))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
         return header, rows

@@ -6,9 +6,12 @@ enumeration, which is exact for the small graphs (<= ~10 nodes) the
 hand-checked cases use.  ``all_pairs`` and ``pair_straightness`` are the
 plain per-pair path the library's row kernel is checked against, and the
 ``loop_*`` builders are the node-by-node construction the array-built
-generators must reproduce bit for bit.  The ``scalar_*`` closed forms are
-the one-direction-at-a-time ``math`` evaluation the array closed forms
-must equal exactly, and the ``loop_center_*`` checks the per-node center
+generators must reproduce bit for bit.  ``loop_graph`` is the per-element
+``NetworkGraph`` constructor (a dict of positions, a set of edges, list
+adjacency and a union-find) that the array constructor must match.  The
+``scalar_*`` closed forms are the one-direction-at-a-time ``math``
+evaluation the array closed forms must equal exactly, and the
+``loop_center_*`` checks the per-node center
 checks the row-kernel ones must agree with.  The scalar ``*_node_id``
 one-liners state the generators' node-id layout independently of
 ``src/``, so the loop builders and the tests index nodes through them.
@@ -16,10 +19,12 @@ one-liners state the generators' node-id layout independently of
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from straightnet import dijkstra, sector_angle
+from straightnet.model import RIGID_TOLERANCE
 
 
 def grid_node_id(spec, i, j):
@@ -118,6 +123,98 @@ def enumerated_mean_straightness(graph):
         for v in range(u + 1, n)
     ]
     return sum(values) / len(values)
+
+
+def loop_graph(nodes, edges, symmetries=()):
+    """``NetworkGraph``'s fields, checked and built one node and edge at a time.
+
+    Raises the ``ValueError`` the graph constructor raises for the first
+    faulty node, edge or symmetry.  ``components`` is a tuple, not a method.
+    """
+    positions = np.atleast_2d(np.array(nodes, dtype=float))
+    if positions.size == 0:
+        positions = positions.reshape(0, 2)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError("nodes must be a sequence of (x, y) pairs")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("node coordinates must be finite")
+    seen = {}
+    for i in range(len(positions)):
+        key = (float(positions[i, 0]), float(positions[i, 1]))
+        if key in seen:
+            raise ValueError(f"nodes {seen[key]} and {i} share the position {key}")
+        seen[key] = i
+
+    n = len(positions)
+    pairs, known = [], set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references an unknown node id")
+        if u == v:
+            raise ValueError(f"self-loop on node {u} is not allowed")
+        pair = (u, v) if u < v else (v, u)
+        if pair in known:
+            raise ValueError(f"duplicate edge {pair}")
+        known.add(pair)
+        pairs.append(pair)
+    ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    du = positions[ends[:, 0]] - positions[ends[:, 1]]
+    lengths = np.hypot(du[:, 0], du[:, 1])
+    if not math.isfinite(sum(lengths.tolist())):
+        raise ValueError("edge lengths overflow: their total is not finite")
+    adjacency = [[] for _ in range(n)]
+    for (u, v), w in zip(pairs, lengths.tolist()):
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+
+    perms = []
+    for perm in symmetries:
+        image = [int(p) for p in perm]
+        if sorted(image) != list(range(n)):
+            raise ValueError(f"symmetry is not a permutation of the {n} node ids")
+        for u, v in pairs:
+            a, b = image[u], image[v]
+            if ((a, b) if a < b else (b, a)) not in known:
+                raise ValueError(f"symmetry maps edge ({u}, {v}) onto a non-edge ({a}, {b})")
+        centered = positions - positions.sum(axis=0) / max(n, 1)
+        moved = centered[image]
+        left, _, right = np.linalg.svd(centered.T @ moved)
+        residual = np.abs(centered @ (left @ right) - moved).max(initial=0.0)
+        if residual > RIGID_TOLERANCE * max(1.0, np.abs(centered).max(initial=0.0)):
+            raise ValueError(
+                f"symmetry is not a rigid motion of the positions (off by {residual:.3g})"
+            )
+        perms.append(image)
+    return SimpleNamespace(
+        positions=positions,
+        edges=pairs,
+        edge_lengths=lengths,
+        adjacency=tuple(map(tuple, adjacency)),
+        orbits=union_find_classes(n, [(u, v) for p in perms for u, v in enumerate(p)]),
+        components=union_find_classes(n, pairs),
+    )
+
+
+def union_find_classes(n, links):
+    """``(lowest id, size)`` per class the ``(u, v)`` links join."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in links:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    sizes = {}
+    for v in range(n):
+        root = find(v)
+        sizes[root] = sizes.get(root, 0) + 1
+    return tuple(sizes.items())
 
 
 def loop_rectilinear(spec):

@@ -34,8 +34,27 @@ PUBLIC_NAMES = [
 ]
 
 
+GRAPH_ATTRIBUTES = [
+    "adjacency",
+    "components",
+    "edge_count",
+    "edge_lengths",
+    "edges",
+    "node_count",
+    "orbits",
+    "positions",
+    "symmetries",
+]
+
+
 def test_public_api_is_pinned():
     # growing or shrinking the package namespace is a reviewed change
     assert sorted(straightnet.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(straightnet, name) is not None
+
+
+def test_graph_surface_is_pinned():
+    # the graph's public attributes are the model's interface to every caller
+    public = [name for name in dir(straightnet.NetworkGraph) if not name.startswith("_")]
+    assert sorted(public) == GRAPH_ATTRIBUTES

@@ -256,6 +256,29 @@ class TestStraightness:
         err = capsys.readouterr().err
         assert err.startswith("straightnet: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"nodes": [' + "[" * 500 + "]" * 500 + '], "edges": []}',
+            '{"nodes": [[' + "0, " * 10_000 + '0]], "edges": []}',
+            '{"nodes": [{"id": 0, "x": 0, "y": 0}], "edges": [{"u": "' + "9" * 5000 + '"}]}',
+        ],
+        ids=["nested-node", "wide-node", "long-edge"],
+    )
+    def test_malformed_entry_is_quoted_in_short(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli("straightness", bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("straightnet: malformed ") and err.count("\n") == 1
+        assert len(err) < 120
+
+    def test_edge_id_past_int64_is_an_unknown_node(self, tmp_path, capsys):
+        path = write_graph_json(tmp_path / "g.json", [(0, 0), (1, 0)], [(0, 10**24)])
+        assert run_cli("straightness", path) == 1
+        err = capsys.readouterr().err
+        assert err == f"straightnet: edge (0, {10**24}) references an unknown node id\n"
+
     def test_strict_mode_on_disconnected_graph(self, tmp_path):
         path = tmp_path / "parts.json"
         path.write_text(
@@ -434,6 +457,19 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err == f"straightnet: {table}: line 3 has {fields} fields, the header 4\n"
         assert not (tmp_path / "r.svg").exists()
+
+    def test_overlong_field_is_one_line_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "big.csv"
+        field = "9" * 200_000  # past the csv module's default field limit
+        table.write_text(
+            f"alpha,straightness,network,k\n0.1,0.9,radial,8\n0.2,{field},radial,8\n",
+            encoding="utf-8",
+        )
+        assert run_cli("plot", table, "--out", tmp_path / "big.svg") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"straightnet: {table}: line 3: field larger than field limit")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "big.svg").exists()
 
 
 class TestArgumentHandling:

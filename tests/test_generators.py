@@ -5,7 +5,6 @@ import pytest
 
 from straightnet import (
     GridSpec,
-    NetworkGraph,
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
@@ -218,10 +217,11 @@ class TestSymmetryGroups:
 
 def assert_same_graph(graph, reference):
     nodes, edges, symmetries = reference
-    expected = NetworkGraph(nodes, edges, symmetries=symmetries)
+    expected = oracles.loop_graph(nodes, edges, symmetries)
     assert graph.positions.tobytes() == expected.positions.tobytes()
-    assert graph.edges.tolist() == expected.edges.tolist()
+    assert graph.edges.tolist() == list(map(list, expected.edges))
     assert [p.tolist() for p in graph.symmetries] == list(map(list, symmetries))
+    assert graph.adjacency == expected.adjacency
     assert graph.orbits == expected.orbits
 
 

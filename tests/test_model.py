@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from straightnet import (
     NetworkGraph,
@@ -37,6 +39,8 @@ class TestBuildGraph:
     def test_duplicate_position_rejected(self):
         with pytest.raises(ValueError, match="share the position"):
             NetworkGraph([(0.0, 0.0), (0.0, 0.0)], [])
+        with pytest.raises(ValueError, match=r"nodes 0 and 2 share the position \(-0.0, 0.0\)"):
+            NetworkGraph([(0.0, 0.0), (1.0, 0.0), (-0.0, 0.0), (1.0, 0.0)], [])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -49,6 +53,24 @@ class TestBuildGraph:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(ValueError, match="unknown node id"):
             NetworkGraph(SQUARE_NODES, [(0, 7)])
+
+    @pytest.mark.parametrize("big", [10**24, -(2**63) - 1, 2**63])
+    def test_id_past_int64_is_an_unknown_node(self, big):
+        with pytest.raises(ValueError, match=rf"edge \(0, {big}\) references an unknown"):
+            NetworkGraph(SQUARE_NODES, [(0, 1), (0, big)])
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1, 2), (1, 2, 3)], [0, 1], [[]], np.zeros((2, 2, 2), dtype=int)]
+    )
+    def test_edges_that_are_not_pairs_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"edges must be a sequence of \(u, v\) pairs"):
+            NetworkGraph(SQUARE_NODES, edges)
+
+    def test_first_faulty_edge_names_the_error(self):
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            NetworkGraph(SQUARE_NODES, [(0, 1), (2, 2), (1, 0), (0, 9)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            NetworkGraph(SQUARE_NODES, [(0, 1), (1, 0), (2, 2), (0, 9)])
 
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -209,6 +231,11 @@ class TestGraphJson:
         with pytest.raises(ValueError, match="dense"):
             graph_from_json(data)
 
+    def test_id_past_int64_is_not_dense(self):
+        data = {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 10**24, "x": 1, "y": 0}], "edges": []}
+        with pytest.raises(ValueError, match="dense"):
+            graph_from_json(data)
+
     def test_repeated_id_rejected(self):
         data = {"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 0, "x": 1, "y": 0}], "edges": []}
         with pytest.raises(ValueError, match="twice"):
@@ -279,6 +306,65 @@ class TestGraphJson:
         data["nodes"].reverse()
         restored = graph_from_json(data)
         assert np.array_equal(restored.positions, g.positions)
+
+
+# Small graphs with the faults the constructor must name: lattice positions,
+# some of them repeated, a mirror in x = 0 as a symmetry that holds when the
+# edges are closed under it, and unknown ids, self-loops, repeated edges and
+# broken permutations mixed in.
+@st.composite
+def graph_inputs(draw):
+    point = st.tuples(st.integers(1, 2), st.integers(-2, 2))
+    left = draw(st.lists(point, max_size=5, unique=True))
+    on_axis = st.tuples(st.sampled_from([0.0, -0.0]), st.integers(-2, 2))
+    axis = draw(st.lists(on_axis, max_size=3, unique_by=lambda p: p[1]))
+    nodes = [*left, *axis, *((-x, y) for x, y in left)]
+    h, n = len(left), len(nodes)
+    mirror = [*range(n - h, n), *range(h, n - h), *range(h)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2])) if nodes else 0):
+        nodes.append(draw(st.sampled_from(nodes)))
+
+    node = st.integers(0, max(n - 1, 0))
+    raw = draw(st.lists(st.tuples(node, node), max_size=10))
+    edges = {(min(u, v), max(u, v)) for u, v in raw if u != v}
+    if draw(st.booleans()):
+        edges |= {tuple(sorted((mirror[u], mirror[v]))) for u, v in edges}
+    order = draw(st.permutations(sorted(edges)))
+    flips = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    edges = [e[::-1] if flip else e for e, flip in zip(order, flips)]
+    faults = st.one_of(
+        st.tuples(st.integers(-1, n), st.integers(-1, n)),
+        st.tuples(node, st.just(10**24)),
+        st.sampled_from(edges or [(0, 0)]).map(lambda e: e[::-1]),
+    )
+    for fault in draw(st.lists(faults, max_size=2)):
+        edges.insert(draw(st.integers(0, len(edges))), fault)
+    perms = st.one_of(
+        st.just(mirror),
+        st.just(mirror),
+        st.permutations(range(n)),
+        st.lists(st.integers(-1, n), max_size=n + 1),
+    )
+    return nodes, edges, draw(st.lists(perms, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_inputs())
+def test_matches_the_loop_reference(case):
+    nodes, edges, symmetries = case
+    try:
+        expected = oracles.loop_graph(nodes, edges, symmetries)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            NetworkGraph(nodes, edges, symmetries)
+        assert str(raised.value) == str(exc)
+        return
+    g = NetworkGraph(nodes, edges, symmetries)
+    assert g.edges.tolist() == list(map(list, expected.edges))
+    assert g.edge_lengths.tobytes() == expected.edge_lengths.tobytes()
+    assert g.adjacency == expected.adjacency
+    assert g.orbits == expected.orbits
+    assert g.components() == expected.components
 
 
 def test_repr_mentions_counts():
