@@ -12,7 +12,6 @@ from .analytic import (
     canonicalize,
     dominance_fraction,
     mesh_oracle_radial,
-    mesh_routes,
     sector_angle,
     straightness_radial,
     straightness_rectilinear,
@@ -62,7 +61,6 @@ __all__ = [
     "graph_to_json",
     "load_graph",
     "mesh_oracle_radial",
-    "mesh_routes",
     "render_svg",
     "run_all_checks",
     "save_graph",

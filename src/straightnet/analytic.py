@@ -12,7 +12,6 @@ produce).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,23 +79,15 @@ def straightness_radial(radii_count: int, alpha: Angles) -> Angles:
     return _like(alpha, 1.0 / denominator)
 
 
-class MeshRoutes(NamedTuple):
-    """Candidate center-to-side routes inside one angular sector."""
-
-    crow_flies: float
-    via_first_radius: float
-    via_second_radius: float
-
-
-def mesh_routes(radii_count: int, alpha: float) -> MeshRoutes:
-    """Explicit route geometry to a point on the unit-ring side chord.
+def mesh_oracle_radial(radii_count: int, alpha: float) -> float:
+    """Straightness from the explicit two-route geometry of one sector.
 
     The destination is where the ray at angle ``alpha`` crosses the chord
     between the unit-ring corners of the first sector.  On the network the
     point can only be reached along one of the two bounding spokes and then
-    along the chord, so both candidate lengths are returned together with
-    the straight-line distance.  Built from plain coordinate geometry, and
-    therefore usable as an independent oracle for the closed form.
+    along the chord, so the shorter of those two routes is the network
+    distance.  Built from plain coordinate geometry, and therefore usable
+    as an independent oracle for the closed form.
     """
     theta = sector_angle(radii_count)
     if not (math.isfinite(alpha) and 0.0 <= alpha <= theta):
@@ -109,17 +100,8 @@ def mesh_routes(radii_count: int, alpha: float) -> MeshRoutes:
     nx, ny = ay - by, bx - ax
     t = (ax * nx + ay * ny) / (ux * nx + uy * ny)
     px, py = t * ux, t * uy
-    return MeshRoutes(
-        crow_flies=math.hypot(px, py),
-        via_first_radius=1.0 + math.hypot(px - ax, py - ay),
-        via_second_radius=1.0 + math.hypot(px - bx, py - by),
-    )
-
-
-def mesh_oracle_radial(radii_count: int, alpha: float) -> float:
-    """Straightness from the explicit two-route geometry of one sector."""
-    routes = mesh_routes(radii_count, alpha)
-    return routes.crow_flies / min(routes.via_first_radius, routes.via_second_radius)
+    chord = min(math.hypot(px - ax, py - ay), math.hypot(px - bx, py - by))
+    return math.hypot(px, py) / (1.0 + chord)  # a unit spoke, then along the chord
 
 
 def analytic_curve(

@@ -23,8 +23,8 @@ from .model import load_graph, save_graph
 from .svgplot import Series, render_svg, series_from_table, write_svg
 from .sweeps import DEFAULT_SWEEP_SUBDIVISION, sweep_radial, sweep_rectilinear
 from .tables import (
+    plot_columns,
     read_table,
-    sweep_parameters,
     write_curve_csv,
     write_pairs_csv,
     write_sweep_csv,
@@ -192,14 +192,11 @@ def _cmd_plot(args) -> int:
         raise ValueError(f"{args.table}: no data rows")
     x_col, y_col, series_cols = args.x, args.y, args.series
     if x_col is None:
-        if "alpha" in header:
-            x_col, y_default, series_default = "alpha", "straightness", ["network", "k"]
-        elif parameters := sweep_parameters(header):
-            x_col, y_default, series_default = parameters[0], "mean", parameters[1:]
-        else:
+        if (defaults := plot_columns(header)) is None:
             raise ValueError(
                 "cannot infer plot columns; pass --x/--y (and optionally --series)"
             )
+        x_col, y_default, series_default = defaults
         y_col = y_col or y_default
         series_cols = series_cols if series_cols is not None else series_default
     if y_col is None:

@@ -226,27 +226,30 @@ def graph_to_json(graph: NetworkGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> NetworkGraph:
-    """Rebuild a graph from the dict form produced by :func:`graph_to_json`."""
+    """Rebuild a graph from the dict form produced by :func:`graph_to_json`.
+
+    Entries are checked in list order, so the first faulty one names the error.
+    """
     if not isinstance(data, dict) or not all(
         isinstance(data.get(key), list) for key in ("nodes", "edges")
     ):
         raise ValueError("graph JSON must contain 'nodes' and 'edges' lists")
     raw_nodes, raw_edges = data["nodes"], data["edges"]
 
-    ids, nodes = [], []
+    nodes = [None] * len(raw_nodes)  # one slot per id, filled as entries are read
     for entry in raw_nodes:
         try:
-            ids.append(_json_id(entry["id"]))
-            nodes.append((float(entry["x"]), float(entry["y"])))
+            i, x, y = _json_id(entry["id"]), entry["x"], entry["y"]
+            if type(x) not in (int, float) or type(y) not in (int, float):
+                raise TypeError("coordinates must be JSON numbers")  # "1.5", true, null
+            xy = float(x), float(y)
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed node entry: {reprlib.repr(entry)}") from exc
-    ids = np.array(ids, dtype=object)  # keeps ids past int64 exact
-    order = np.argsort(ids, kind="stable")
-    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
-    if len(repeats):
-        raise ValueError(f"node id {ids[repeats.min()]} appears twice")
-    if not np.array_equal(ids[order], np.arange(len(ids))):
-        raise ValueError("node ids must be dense integers 0..N-1")
+        if not 0 <= i < len(nodes):
+            raise ValueError("node ids must be dense integers 0..N-1")
+        if nodes[i] is not None:
+            raise ValueError(f"node id {i} appears twice")
+        nodes[i] = xy
 
     edges = []
     for entry in raw_edges:
@@ -254,7 +257,7 @@ def graph_from_json(data: dict) -> NetworkGraph:
             edges.append((_json_id(entry["u"]), _json_id(entry["v"])))
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed edge entry: {reprlib.repr(entry)}") from exc
-    return NetworkGraph(np.array(nodes)[order], edges)
+    return NetworkGraph(nodes, edges)
 
 
 def _json_id(value) -> int:

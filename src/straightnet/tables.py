@@ -1,9 +1,10 @@
-"""CSV schemas shared by the command line surface and the test suite.
+"""CSV tables: their schemas, writers and plot defaults, and one reader.
 
-Angles are written with 12 significant digits and straightness-like values
-with 9, enough to re-check 1e-9 tolerances straight from the files.  All
-writers emit plain "\\n" line endings so output bytes do not depend on the
-platform.
+Curves, sweep cells and node pairs each have one table.  Every writer
+formats a row with one ``%`` template: angles and distances with 12
+significant digits, straightness-like values with 9 (enough to re-check
+1e-9 tolerances straight from the files) and counts as integers, with
+plain "\\n" line endings so output bytes do not depend on the platform.
 """
 
 from __future__ import annotations
@@ -13,62 +14,53 @@ from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .sweeps import SweepResult
-
 CURVE_HEADER = ["alpha", "straightness", "network", "k"]
 # A sweep table has its parameter columns, then these summary columns.
 SWEEP_SUMMARY_HEADER = ["pair_count", "mean", "std_dev", "skipped"]
 PAIRS_HEADER = ["u", "v", "d_spatial", "d_geodesic", "straightness"]
 
 
-def format_angle(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def format_ratio(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _open_table(path, header: Sequence[str]):
+    """Open ``path`` for writing and write the header line."""
+    fh = Path(path).open("w", encoding="utf-8", newline="")
+    fh.write(",".join(header) + "\n")
+    return fh
 
 
 def write_curve_csv(
     path, curves: Iterable[tuple[str, int, Iterable[tuple[float, float]]]]
 ) -> None:
     """One row per (network, alpha) sample: ``alpha,straightness,network,k``."""
-    rows = [
-        [format_angle(alpha), format_ratio(s), network, k]
-        for network, k, samples in curves
-        for alpha, s in samples
-    ]
-    _write_rows(path, CURVE_HEADER, rows)
+    with _open_table(path, CURVE_HEADER) as fh:
+        for network, k, samples in curves:
+            fh.writelines("%.12g,%.9g,%s,%d\n" % (*s, network, k) for s in samples)
 
 
-def write_sweep_csv(path, results: Sequence[SweepResult]) -> None:
-    """One row per sweep cell; parameter columns from ``results[0]``."""
+def write_sweep_csv(path, results: Sequence) -> None:
+    """One row per ``SweepResult``; parameter columns from ``results[0]``."""
     if not results:
         raise ValueError("no sweep results to write")
-    rows = [
-        [
-            *r.parameters.values(),
-            r.summary.pair_count,
-            format_ratio(r.summary.mean),
-            format_ratio(r.summary.std_dev),
-            r.summary.skipped_pairs,
-        ]
-        for r in results
-    ]
-    _write_rows(path, [*results[0].parameters, *SWEEP_SUMMARY_HEADER], rows)
+    parameters = list(results[0].parameters)
+    template = "%d," * len(parameters) + "%d,%.9g,%.9g,%d\n"
+    with _open_table(path, [*parameters, *SWEEP_SUMMARY_HEADER]) as fh:
+        for r in results:
+            s = r.summary
+            values = (s.pair_count, s.mean, s.std_dev, s.skipped_pairs)
+            fh.write(template % (*r.parameters.values(), *values))
 
 
-def sweep_parameters(header: list[str]) -> list[str]:
-    """Parameter columns of a sweep table header; empty for other tables."""
+def plot_columns(header: list[str]) -> tuple[str, str, list[str]] | None:
+    """Default ``(x, y, series)`` plot columns of a curve or sweep table, else None.
+
+    A sweep table plots its mean over the first parameter, one series per
+    value of the others.
+    """
+    if CURVE_HEADER[0] in header:
+        return CURVE_HEADER[0], CURVE_HEADER[1], CURVE_HEADER[2:]
     split = len(header) - len(SWEEP_SUMMARY_HEADER)
-    return header[:split] if header[split:] == SWEEP_SUMMARY_HEADER else []
+    if split > 0 and header[split:] == SWEEP_SUMMARY_HEADER:
+        return header[0], "mean", header[1:split]
+    return None
 
 
 def write_pairs_csv(path, rows: Iterable[tuple]) -> Iterator[tuple]:
@@ -77,8 +69,7 @@ def write_pairs_csv(path, rows: Iterable[tuple]) -> Iterator[tuple]:
     ``path`` is opened when the first row is asked for.  Source ``u`` adds
     its ``v > u`` pairs, so rows of every node in id order give all pairs.
     """
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(PAIRS_HEADER) + "\n")
+    with _open_table(path, PAIRS_HEADER) as fh:
         for row in rows:
             u, _, *columns = row  # d_spatial, d_geodesic, straightness
             pairs = zip(count(u + 1), *(c[u + 1:].tolist() for c in columns))

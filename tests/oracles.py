@@ -4,7 +4,8 @@ The ``enumerated_*`` functions stay deliberately independent of the
 library's shortest-path code: geodesics come from exhaustive simple-path
 enumeration, which is exact for the small graphs (<= ~10 nodes) the
 hand-checked cases use.  ``all_pairs`` and ``pair_straightness`` are the
-plain per-pair path the library's row kernel is checked against, and the
+plain per-pair path the library's row kernel is checked against (its
+fields formatted by ``format_angle``/``format_ratio``), and the
 ``loop_*`` builders are the node-by-node construction the array-built
 generators must reproduce bit for bit.  ``loop_graph`` is the per-element
 ``NetworkGraph`` constructor (a dict of positions, a set of edges, list
@@ -80,6 +81,16 @@ def pair_straightness(graph, distances, u, v):
     if not math.isfinite(d_geodesic) or d_spatial == 0.0:
         return RouteMetrics(u, v, d_spatial, d_geodesic, math.nan, skipped=True)
     return RouteMetrics(u, v, d_spatial, d_geodesic, d_spatial / d_geodesic)
+
+
+def format_angle(value):
+    """A table's angle or distance field, formatted one value at a time."""
+    return f"{value:.12g}"
+
+
+def format_ratio(value):
+    """A table's straightness-like field, formatted one value at a time."""
+    return f"{value:.9g}"
 
 
 def enumerated_geodesic(graph, source, target):

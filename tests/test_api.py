@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "graph_to_json",
     "load_graph",
     "mesh_oracle_radial",
-    "mesh_routes",
     "render_svg",
     "run_all_checks",
     "save_graph",

@@ -246,8 +246,10 @@ class TestStraightness:
             ' "edges": [{"u": 0, "v": Infinity}]}',
             '{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1.9, "x": 1, "y": 0}],'
             ' "edges": [{"u": 0, "v": 1}]}',
+            '{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": "1.5", "y": true}],'
+            ' "edges": [{"u": 0, "v": 1}]}',
         ],
-        ids=["int-nodes", "null-edges", "infinite-id", "fractional-id"],
+        ids=["int-nodes", "null-edges", "infinite-id", "fractional-id", "string-coordinate"],
     )
     def test_malformed_graph_is_one_line_usage_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"

@@ -20,11 +20,13 @@ from straightnet import (
     straightness_rows,
     summarize,
 )
-from straightnet.tables import format_angle, format_ratio, read_table, write_pairs_csv
+from straightnet.tables import read_table, write_pairs_csv
 
 import oracles
 from oracles import (
     all_pairs,
+    format_angle,
+    format_ratio,
     grid_node_id,
     pair_straightness,
     ring_node_id,

@@ -307,6 +307,39 @@ class TestGraphJson:
         restored = graph_from_json(data)
         assert np.array_equal(restored.positions, g.positions)
 
+    def test_reversed_node_entries_load_the_same_graph(self):
+        data = graph_to_json(generate_radioconcentric(RadialSpec(5, 2, 3)))
+        in_order = graph_from_json(data)
+        data["nodes"].reverse()
+        reversed_ = graph_from_json(data)
+        assert np.array_equal(reversed_.positions, in_order.positions)
+        assert np.array_equal(reversed_.edges, in_order.edges)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([0, 7, 7], "dense"),
+            ([0, 1, 1, 7], "appears twice"),
+            ([0, -1, 0], "dense"),
+            ([0, 7, "x"], "dense"),
+            ([0, "x", 7], "malformed node entry"),
+        ],
+    )
+    def test_first_faulty_entry_names_the_error(self, ids, message):
+        nodes = [{"id": i, "x": n, "y": 0} for n, i in enumerate(ids)]
+        with pytest.raises(ValueError, match=message):
+            graph_from_json({"nodes": nodes, "edges": []})
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [("1.5", 0), (0, True), (False, 0), (None, 0), (0, [1]), ({"v": 1}, 0), (10**400, 0)],
+        ids=["string", "true", "false", "null", "list", "object", "past-float"],
+    )
+    def test_coordinates_that_are_not_numbers_rejected(self, x, y):
+        nodes = [{"id": 0, "x": 5, "y": 5}, {"id": 1, "x": x, "y": y}]
+        with pytest.raises(ValueError, match="malformed node entry"):
+            graph_from_json({"nodes": nodes, "edges": []})
+
 
 # Small graphs with the faults the constructor must name: lattice positions,
 # some of them repeated, a mirror in x = 0 as a symmetry that holds when the
