@@ -31,15 +31,16 @@ class StraightnessSummary:
 def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     """``(source, weight, d_spatial, d_geodesic, straightness)`` per source.
 
-    One Dijkstra run per ``(source, weight)`` in ``sources`` (default: every
-    node, weight 1).  Arrays run over all targets; straightness is ``nan``
-    for unreachable or co-located pairs, so always at the source itself.
+    One Dijkstra batch over the list of ``(source, weight)`` pairs in
+    ``sources`` (default: every node, weight 1).  Arrays run over all
+    targets; straightness is ``nan`` for unreachable or co-located pairs,
+    so always at the source itself.
     """
     if sources is None:
-        sources = ((v, 1) for v in range(graph.node_count))
+        sources = [(v, 1) for v in range(graph.node_count)]
     positions = graph.positions
-    for source, weight in sources:
-        d_g = dijkstra(graph, source)
+    rows = dijkstra(graph, [s for s, _ in sources])
+    for (source, weight), d_g in zip(sources, rows):
         d_s = np.hypot(*(positions - positions[source]).T)
         ratio = np.full(len(d_g), math.nan)
         np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))

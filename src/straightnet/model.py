@@ -21,8 +21,7 @@ class NetworkGraph:
     Edges are straight segments; their lengths are always derived from the
     endpoint positions, never stored independently, so geometry and edge
     weight cannot disagree.  Edges may cross without meeting at a node.
-    The input is checked and stored as whole arrays, plus the tuple
-    adjacency that Dijkstra reads.
+    The input is checked and stored as whole arrays, and nothing else.
 
     Parameters
     ----------
@@ -46,9 +45,7 @@ class NetworkGraph:
         rigid motion of the positions.
     """
 
-    __slots__ = (
-        "_positions", "_edges", "_lengths", "_adjacency", "_symmetries", "_orbits"
-    )
+    __slots__ = ("_positions", "_edges", "_lengths", "_symmetries", "_orbits")
 
     def __init__(self, nodes, edges, symmetries=()) -> None:
         # copy so freezing the array never affects a caller-owned buffer
@@ -94,20 +91,13 @@ class NetworkGraph:
         if not math.isfinite(sum(lengths.tolist())):
             raise ValueError("edge lengths overflow: their total is not finite")
 
-        # arcs 2e, 2e+1 run along edge e; a stable sort by tail keeps edge order
-        order = np.argsort(edge_arr.ravel(), kind="stable")
-        heads = edge_arr[:, ::-1].ravel()[order].tolist()
-        arcs = list(zip(heads, np.repeat(lengths, 2)[order].tolist()))
-        ends = np.cumsum(np.bincount(edge_arr.ravel(), minlength=n)).tolist()
-        adjacency = tuple(tuple(arcs[a:b]) for a, b in zip([0, *ends], ends))
-
         perms = tuple(_check_symmetry(p, positions, edge_arr, keys) for p in symmetries)
 
         for arr in (positions, edge_arr, lengths, *perms):
             arr.setflags(write=False)
         ids = np.arange(n)
         orbits = _classes(n, np.tile(ids, len(perms)), np.concatenate([ids[:0], *perms]))
-        fields = (positions, edge_arr, lengths, adjacency, perms, orbits)
+        fields = (positions, edge_arr, lengths, perms, orbits)
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
@@ -136,11 +126,6 @@ class NetworkGraph:
     def edge_lengths(self) -> np.ndarray:
         """Euclidean length of each edge, derived from positions."""
         return self._lengths
-
-    @property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-node tuple of ``(neighbor, edge_length)`` pairs."""
-        return self._adjacency
 
     @property
     def symmetries(self) -> tuple[np.ndarray, ...]:

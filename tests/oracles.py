@@ -2,20 +2,23 @@
 
 The ``enumerated_*`` functions stay deliberately independent of the
 library's shortest-path code: geodesics come from exhaustive simple-path
-enumeration, which is exact for the small graphs (<= ~10 nodes) the
-hand-checked cases use.  ``all_pairs`` and ``pair_straightness`` are the
-plain per-pair path the library's row kernel is checked against (its
+enumeration over neighbor lists built here from the edge arrays, which is
+exact for the small graphs (<= ~10 nodes) the hand-checked cases use.
+``exact_grid_summary`` is the grid aggregate summed over offset classes,
+with no path search at all.  ``all_pairs`` and ``pair_straightness`` are
+the plain per-pair path the library's row kernel is checked against (its
 fields formatted by ``format_angle``/``format_ratio``), and the
 ``loop_*`` builders are the node-by-node construction the array-built
 generators must reproduce bit for bit.  ``loop_graph`` is the per-element
-``NetworkGraph`` constructor (a dict of positions, a set of edges, list
-adjacency and a union-find) that the array constructor must match.  The
+``NetworkGraph`` constructor (a dict of positions, a set of edges and a
+union-find) that the array constructor must match; its list adjacency is
+the arc layout that Dijkstra's batch-built arc lists must match.  The
 ``scalar_*`` closed forms are the one-direction-at-a-time ``math``
 evaluation the array closed forms must equal exactly, and the
-``loop_center_*`` checks the per-node center
-checks the row-kernel ones must agree with.  The scalar ``*_node_id``
-one-liners state the generators' node-id layout independently of
-``src/``, so the loop builders and the tests index nodes through them.
+``loop_center_*`` checks the per-node center checks the row-kernel ones
+must agree with.  The scalar ``*_node_id`` one-liners state the
+generators' node-id layout independently of ``src/``, so the loop
+builders and the tests index nodes through them.
 """
 
 import math
@@ -51,8 +54,24 @@ def euclidean_distance(a, b):
 
 def all_pairs(graph):
     """Full ``(N, N)`` geodesic distance matrix, row i = distances from i."""
-    rows = [dijkstra(graph, s) for s in range(graph.node_count)]
+    rows = list(dijkstra(graph, range(graph.node_count)))
     return np.vstack(rows) if rows else np.zeros((0, 0))
+
+
+def exact_grid_summary(size):
+    """``(pair_count, mean, std_dev)`` of straightness on a unit grid, exactly.
+
+    With ``n = size + 1`` nodes per side, an offset ``(a, b)`` has geodesic
+    ``a + b`` and covers ``(n - a)(n - b)`` unordered pairs, twice that when
+    ``a`` and ``b`` are both nonzero (the two mirror diagonals).
+    """
+    n = size + 1
+    a, b = (axis.ravel()[1:] for axis in np.indices((n, n)))  # every offset but (0, 0)
+    weight = (n - a) * (n - b) * np.where((a > 0) & (b > 0), 2, 1)
+    value = np.hypot(a, b) / (a + b)
+    total = int(weight.sum())
+    mean = float((weight * value).sum()) / total
+    return total, mean, math.sqrt(float((weight * (value - mean) ** 2).sum()) / total)
 
 
 @dataclass(frozen=True)
@@ -95,7 +114,10 @@ def format_ratio(value):
 
 def enumerated_geodesic(graph, source, target):
     """Shortest source-target distance by trying every simple path."""
-    adjacency = graph.adjacency
+    adjacency = [[] for _ in range(graph.node_count)]
+    for (u, v), w in zip(graph.edges.tolist(), graph.edge_lengths.tolist()):
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
     best = math.inf
 
     def extend(node, seen, total):
@@ -322,7 +344,7 @@ def scalar_straightness_radial(radii_count, alpha):
 
 def loop_center_curve_check(graph):
     """Worst grid deviation from node 0, one node at a time."""
-    row = dijkstra(graph, 0)
+    row = next(dijkstra(graph, [0]))
     positions = graph.positions
     worst = 0.0
     for node in range(1, graph.node_count):
@@ -336,7 +358,7 @@ def loop_center_curve_check(graph):
 def loop_center_radial_check(graph, spec):
     """``(formula deviation, ring spread)`` from the center, node by node."""
     k = spec.radii_count
-    row = dijkstra(graph, 0)
+    row = next(dijkstra(graph, [0]))
     positions = graph.positions
 
     def measured_straightness(node):

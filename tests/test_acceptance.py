@@ -102,7 +102,7 @@ def test_a3_grid_cross_validation():
         spec = GridSpec(size)
         graph = generate_rectilinear(spec)
         # independent oracle: grid geodesics are Manhattan distances
-        row = dijkstra(graph, 0)
+        row = next(dijkstra(graph, [0]))
         for i in range(size + 1):
             for j in range(size + 1):
                 assert row[grid_node_id(spec, i, j)] == pytest.approx(i + j, abs=1e-12)

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
 
 
 GRAPH_ATTRIBUTES = [
-    "adjacency",
     "components",
     "edge_count",
     "edge_lengths",

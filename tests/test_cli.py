@@ -1,10 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from straightnet import dijkstra, load_graph
 from straightnet.cli import MAX_CURVE_SAMPLES, MAX_RANGE_VALUES, _parse_range, main
@@ -346,14 +350,14 @@ class TestStraightness:
         run_cli("gen", "rect", "--size", 5, "--out", graph_path)
         calls = []
 
-        def counting(graph, source):
-            calls.append(source)
-            return dijkstra(graph, source)
+        def counting(graph, sources):
+            calls.append(list(sources))
+            return dijkstra(graph, calls[-1])
 
         for module in (metrics, shortest_paths):  # every binding of dijkstra
             monkeypatch.setattr(module, "dijkstra", counting)
         assert run_cli("straightness", graph_path, "--pairs-csv", tmp_path / "p.csv") == 0
-        assert calls == list(range(36))
+        assert calls == [list(range(36))]
 
 
 class TestValidate:
@@ -378,15 +382,15 @@ class TestValidate:
     def test_checks_search_each_graph_once(self, monkeypatch):
         from straightnet import metrics, validation
 
-        sources = []
+        batches = []
 
-        def counting(graph, source):
-            sources.append(source)
-            return dijkstra(graph, source)
+        def counting(graph, sources):
+            batches.append(list(sources))
+            return dijkstra(graph, batches[-1])
 
         monkeypatch.setattr(metrics, "dijkstra", counting)
         names = [r.name for r in validation.run_all_checks()]
-        assert len(sources) == 2  # grid s=10 and the (8, 3, 4) wheel
+        assert batches == [[0], [0]]  # grid s=10 and the (8, 3, 4) wheel
         assert names[-3:] == [
             "grid center curve",
             "radial center curve",
@@ -472,6 +476,82 @@ class TestPlot:
         assert err.startswith(f"straightnet: {table}: line 3: field larger than field limit")
         assert err.count("\n") == 1
         assert not (tmp_path / "big.svg").exists()
+
+
+# JSON values that are not what a graph entry holds, or only just are
+JUNK = st.sampled_from(
+    [None, True, False, "", "1.5", [0], {}, -1, 1.5, 1e20, 2**70, 10**400]
+    + [1e308, -1e308, math.inf, math.nan]
+)
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph JSON: a well-formed graph with up to three faults put in."""
+    n = draw(st.integers(0, 6))
+    coordinate = st.one_of(st.integers(-3, 3), st.floats(-10.0, 10.0))
+    points = st.lists(
+        st.tuples(coordinate, coordinate),
+        min_size=n,
+        max_size=n,
+        unique_by=lambda p: (float(p[0]), float(p[1])),
+    )
+    nodes = [{"id": i, "x": x, "y": y} for i, (x, y) in enumerate(draw(points))]
+    nodes = draw(st.permutations(nodes))
+    edges = []
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = pair.filter(lambda e: e[0] != e[1])
+        ends = draw(st.lists(pairs, min_size=1, max_size=2 * n, unique_by=frozenset))
+        edges = [{"u": u, "v": v} for u, v in ends]
+    document = {"nodes": nodes, "edges": edges}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["value", "value", "key", "entry", "document"]))
+        entries = draw(st.sampled_from([nodes, edges])) or nodes or edges
+        if fault == "document" or not entries:
+            return draw(st.one_of(JUNK, st.just({"nodes": nodes}), st.just({"edges": edges})))
+        i = draw(st.integers(0, len(entries) - 1))
+        if fault == "entry" or not isinstance(entries[i], dict):
+            entries[i] = draw(JUNK)
+            continue
+        key = draw(st.sampled_from(sorted(entries[i])))
+        if fault == "key":
+            del entries[i][key]
+        else:
+            entries[i][key] = draw(JUNK)
+    return document
+
+
+class TestFuzzedInput:
+    """Outside input ends in exit 0 or 1 with a one-line message, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_documents(), st.booleans(), st.booleans())
+    def test_graph_json(self, tmp_path_factory, document, strict, dump):
+        base = tmp_path_factory.getbasetemp()
+        graph_path, pairs_path = base / "fuzzed.json", base / "fuzzed.csv"
+        graph_path.write_text(json.dumps(document), encoding="utf-8")
+        args = ["straightness", graph_path] + ["--strict"] * strict
+        args += ["--pairs-csv", pairs_path] * dump
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(*args)
+        if code == 0:
+            assert err.getvalue() == "" and "mean:" in out.getvalue()
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("straightnet: ")
+            assert err.getvalue().count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from("0123456789.,- _+x\u0663") | st.characters(), max_size=24))
+    def test_range_text(self, text):
+        try:
+            values = _parse_range(text)
+        except argparse.ArgumentTypeError:  # argparse reports it and exits with 1
+            return
+        assert 0 < len(values) <= MAX_RANGE_VALUES
+        assert all(type(v) is int for v in values)
 
 
 class TestArgumentHandling:

@@ -9,6 +9,7 @@ from straightnet import (
     generate_radioconcentric,
     generate_rectilinear,
     sector_angle,
+    shortest_paths,
 )
 from straightnet.generators import MAX_NODES
 
@@ -100,7 +101,7 @@ class TestRectilinear:
 
     def test_degree_pattern(self):
         g = generate_rectilinear(GridSpec(3))
-        degrees = sorted(len(g.adjacency[i]) for i in range(g.node_count))
+        degrees = sorted(np.bincount(g.edges.ravel()).tolist())
         # 4 corners, 8 boundary, 4 interior for s=3
         assert degrees == [2] * 4 + [3] * 8 + [4] * 4
 
@@ -186,7 +187,7 @@ class TestRadioconcentric:
     def test_center_is_node_zero(self):
         g = generate_radioconcentric(RadialSpec(9, 2))
         assert g.positions[0].tolist() == [0.0, 0.0]
-        assert len(g.adjacency[0]) == 9
+        assert np.bincount(g.edges.ravel())[0] == 9
 
 
 class TestSymmetryGroups:
@@ -221,7 +222,7 @@ def assert_same_graph(graph, reference):
     assert graph.positions.tobytes() == expected.positions.tobytes()
     assert graph.edges.tolist() == list(map(list, expected.edges))
     assert [p.tolist() for p in graph.symmetries] == list(map(list, symmetries))
-    assert graph.adjacency == expected.adjacency
+    assert shortest_paths._adjacency(graph) == expected.adjacency
     assert graph.orbits == expected.orbits
 
 

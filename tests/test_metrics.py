@@ -155,13 +155,14 @@ def assert_same_summary(orbit, generic):
 def count_dijkstra_calls(monkeypatch, graph):
     calls = []
 
-    def counting(g, source):
-        calls.append(source)
-        return dijkstra(g, source)
+    def counting(g, sources):
+        calls.append(list(sources))
+        return dijkstra(g, calls[-1])
 
     monkeypatch.setattr(metrics, "dijkstra", counting)
     summarize(graph)
-    return calls
+    (batch,) = calls  # one batch per graph
+    return batch
 
 
 class TestOrbitReduction:
@@ -219,6 +220,54 @@ class TestInvariance:
         _, rows = read_table(path)
         pairs = [(int(r["u"]), int(r["v"])) for r in rows]
         assert pairs == [(u, v) for u in range(9) for v in range(u + 1, 9)]
+
+
+@st.composite
+def connected_graphs(draw):
+    """``(points, edges)``: a random spanning tree plus extra edges on <= 12 points."""
+    coordinate = st.one_of(st.integers(-20, 20), st.floats(-20.0, 20.0)).map(float)
+    points = draw(
+        st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=12, unique=True)
+    )
+    n = len(points)
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
+    for u, v in draw(st.lists(extra, max_size=n)):
+        v += v >= u  # any node but u
+        edges.add((min(u, v), max(u, v)))
+    return points, sorted(edges)
+
+
+# A route sums at most 11 rounded edge lengths, so along collinear nodes the
+# ratio may round a few ulps past 1; 16 ulps bounds that with room to spare.
+ROUNDING = 16 * np.finfo(float).eps
+
+
+class TestRandomConnectedGraphs:
+    @settings(max_examples=50, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_summary_ignores_labels_and_edge_order(self, case, data):
+        points, edges = case
+        label = data.draw(st.permutations(range(len(points))), label="label")
+        moved = [None] * len(points)
+        for i, point in enumerate(points):
+            moved[label[i]] = point
+        relabelled = [(label[v], label[u]) for u, v in edges]
+        shuffled = data.draw(st.permutations(relabelled), label="edges")
+        expected = summarize(NetworkGraph(points, edges))
+        got = summarize(NetworkGraph(moved, shuffled))
+        assert (got.pair_count, got.skipped_pairs) == (expected.pair_count, 0)
+        assert abs(got.mean - expected.mean) <= 1e-12
+        assert abs(got.std_dev - expected.std_dev) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_graphs())
+    def test_straightness_lies_in_the_unit_interval(self, case):
+        g = NetworkGraph(*case)
+        for _, _, _, _, ratio in straightness_rows(g):
+            finite = ratio[np.isfinite(ratio)]
+            assert len(finite) == g.node_count - 1  # connected: only the source is nan
+            assert np.all(finite > 0.0) and np.all(finite <= 1.0 + ROUNDING)
 
 
 def dump_pairs(graph, path):
@@ -280,13 +329,13 @@ class TestPairDump:
         g = generate_rectilinear(GridSpec(4))
         calls = []
 
-        def counting(graph, source):
-            calls.append(source)
-            return dijkstra(graph, source)
+        def counting(graph, sources):
+            calls.append(list(sources))
+            return dijkstra(graph, calls[-1])
 
         monkeypatch.setattr(metrics, "dijkstra", counting)
         dump_pairs(g, tmp_path / "pairs.csv")
-        assert calls == list(range(25))
+        assert calls == [list(range(25))]
 
     def test_dump_summary_is_the_generic_summary(self, tmp_path):
         g = graph_from_json(graph_to_json(generate_radioconcentric(RadialSpec(5, 2, 3))))

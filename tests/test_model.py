@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from straightnet import (
     load_graph,
     RadialSpec,
     save_graph,
+    shortest_paths,
 )
 
 import oracles
@@ -127,10 +129,10 @@ def test_edge_lengths_match_endpoint_distances(graph):
 
 
 def test_adjacency_is_symmetric():
-    g = NetworkGraph(SQUARE_NODES, SQUARE_EDGES)
-    for u in range(g.node_count):
-        for v, w in g.adjacency[u]:
-            assert (u, w) in g.adjacency[v]
+    adjacency = shortest_paths._adjacency(NetworkGraph(SQUARE_NODES, SQUARE_EDGES))
+    for u in range(len(adjacency)):
+        for v, w in adjacency[u]:
+            assert (u, w) in adjacency[v]
 
 
 class TestSymmetries:
@@ -395,9 +397,21 @@ def test_matches_the_loop_reference(case):
     g = NetworkGraph(nodes, edges, symmetries)
     assert g.edges.tolist() == list(map(list, expected.edges))
     assert g.edge_lengths.tobytes() == expected.edge_lengths.tobytes()
-    assert g.adjacency == expected.adjacency
+    assert shortest_paths._adjacency(g) == expected.adjacency
     assert g.orbits == expected.orbits
     assert g.components() == expected.components
+
+
+def test_graph_keeps_only_arrays():
+    # per-arc Python tuples would keep about 24 MB for this grid; its arrays keep 3.7 MB
+    tracemalloc.start()
+    try:
+        graph = generate_rectilinear(GridSpec(200))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.node_count == 201 * 201
+    assert kept < 8_000_000
 
 
 def test_repr_mentions_counts():

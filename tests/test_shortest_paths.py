@@ -19,12 +19,12 @@ from oracles import all_pairs, grid_node_id, ring_node_id
 class TestDijkstra:
     def test_unit_square_from_corner(self):
         g = generate_rectilinear(GridSpec(1))
-        assert dijkstra(g, 0).tolist() == [0.0, 1.0, 1.0, 2.0]
+        assert next(dijkstra(g, [0])).tolist() == [0.0, 1.0, 1.0, 2.0]
 
     def test_grid_distances_are_manhattan(self):
         spec = GridSpec(4)
         g = generate_rectilinear(spec)
-        row = dijkstra(g, 0)
+        row = next(dijkstra(g, [0]))
         assert row[grid_node_id(spec, 3, 4)] == 7.0
         for i in range(5):
             for j in range(5):
@@ -32,7 +32,7 @@ class TestDijkstra:
 
     def test_wheel_center_row(self):
         g = generate_radioconcentric(RadialSpec(4, 1))
-        assert dijkstra(g, 0).tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert next(dijkstra(g, [0])).tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_opposite_wheel_nodes_via_center(self):
         g = generate_radioconcentric(RadialSpec(4, 1))
@@ -42,15 +42,40 @@ class TestDijkstra:
     def test_invalid_source(self):
         g = generate_rectilinear(GridSpec(1))
         with pytest.raises(ValueError):
-            dijkstra(g, 4)
+            next(dijkstra(g, [4]))
         with pytest.raises(ValueError):
-            dijkstra(g, -1)
+            next(dijkstra(g, [-1]))
 
     def test_unreachable_marked_infinite(self):
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], [(0, 1)])
-        row = dijkstra(g, 0)
+        row = next(dijkstra(g, [0]))
         assert row[1] == 1.0
         assert math.isinf(row[2])
+
+
+class TestBatch:
+    """One call runs a whole batch of sources over arc lists built once."""
+
+    GRAPH = NetworkGraph(
+        [(0.0, 0.0), (2.0, 0.0), (2.0, 1.5), (0.3, 0.4), (1.1, 2.2)],
+        [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4), (0, 4)],
+    )
+
+    def test_rows_come_in_source_order_with_repeats(self):
+        rows = list(dijkstra(self.GRAPH, [2, 0, 2]))
+        expected = all_pairs(self.GRAPH)
+        assert len(rows) == 3
+        for row, source in zip(rows, [2, 0, 2]):
+            assert row.tobytes() == expected[source].tobytes()
+
+    def test_empty_batch_yields_nothing(self):
+        assert list(dijkstra(self.GRAPH, [])) == []
+
+    def test_bad_id_raises_when_reached(self):
+        rows = dijkstra(self.GRAPH, [0, 99])
+        assert next(rows).tobytes() == all_pairs(self.GRAPH)[0].tobytes()
+        with pytest.raises(ValueError, match=r"^source id 99 outside 0\.\.4$"):
+            next(rows)
 
 
 class TestAllPairs:

@@ -13,6 +13,8 @@ from straightnet import (
 from straightnet import sweeps
 from straightnet.tables import read_table, write_sweep_csv
 
+import oracles
+
 
 def record_summaries(monkeypatch):
     """Make ``sweeps.summarize`` record calls; returns the list of calls."""
@@ -47,6 +49,15 @@ class TestRectSweep:
     def test_one_shot_iterator(self):
         results = sweep_rectilinear(iter([2, 1]))
         assert [r.parameters["squares_per_side"] for r in results] == [2, 1]
+
+
+    def test_sweep_matches_the_offset_class_sum(self):
+        # A5's sweep, checked against a sum that runs no path search
+        for size, result in zip(range(1, 31), sweep_rectilinear(range(1, 31))):
+            pairs, mean, std_dev = oracles.exact_grid_summary(size)
+            assert (result.summary.pair_count, result.summary.skipped_pairs) == (pairs, 0)
+            assert abs(result.summary.mean - mean) <= 1e-12
+            assert abs(result.summary.std_dev - std_dev) <= 1e-12
 
 
 class TestRadialSweep:
