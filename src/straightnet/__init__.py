@@ -2,9 +2,9 @@
 
 Builds the two idealized street layouts as embedded graphs, evaluates the
 closed-form center-to-periphery straightness curves, measures straightness
-on the graphs with one Dijkstra run per source node (one per symmetry
-orbit on generated graphs), and drives the simulation sweeps behind the
-``straightnet`` command line tool.
+on the graphs from shortest-path distances to every source node (one per
+symmetry orbit on generated graphs), and drives the simulation sweeps
+behind the ``straightnet`` command line tool.
 """
 
 from .analytic import (
@@ -30,7 +30,7 @@ from .model import (
     load_graph,
     save_graph,
 )
-from .shortest_paths import dijkstra
+from .shortest_paths import geodesics
 from .svgplot import Series, render_svg, series_from_table
 from .sweeps import (
     DEFAULT_SWEEP_SUBDIVISION,
@@ -53,10 +53,10 @@ __all__ = [
     "canonicalize",
     "center_curve_check",
     "center_radial_check",
-    "dijkstra",
     "dominance_fraction",
     "generate_radioconcentric",
     "generate_rectilinear",
+    "geodesics",
     "graph_from_json",
     "graph_to_json",
     "load_graph",

@@ -294,6 +294,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help (0) or usage error (1)
         return int(exc.code or 0)
+    for name in ("sizes", "radii", "rings"):
+        # argparse stores [] without calling _parse_range for "--radii=--"
+        if getattr(args, name, None) == []:
+            print(f"straightnet: --{name} selects no values", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except OSError as exc:

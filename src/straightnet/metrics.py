@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .model import NetworkGraph
-from .shortest_paths import dijkstra
+from .shortest_paths import geodesics
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class StraightnessSummary:
 def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     """``(source, weight, d_spatial, d_geodesic, straightness)`` per source.
 
-    One Dijkstra batch over the list of ``(source, weight)`` pairs in
+    One :func:`geodesics` batch over the list of ``(source, weight)`` pairs in
     ``sources`` (default: every node, weight 1).  Arrays run over all
     targets; straightness is ``nan`` for unreachable or co-located pairs,
     so always at the source itself.
@@ -39,7 +39,7 @@ def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     if sources is None:
         sources = [(v, 1) for v in range(graph.node_count)]
     positions = graph.positions
-    rows = dijkstra(graph, [s for s, _ in sources])
+    rows = geodesics(graph, [s for s, _ in sources])
     for (source, weight), d_g in zip(sources, rows):
         d_s = np.hypot(*(positions - positions[source]).T)
         ratio = np.full(len(d_g), math.nan)

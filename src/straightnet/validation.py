@@ -40,7 +40,7 @@ def center_curve_check(graph: NetworkGraph) -> float:
     """Largest gap between measured and closed-form grid straightness.
 
     Expects a generated grid.  Measures straightness from corner node 0 to
-    every other node with Dijkstra distances and compares against the
+    every other node with geodesic distances and compares against the
     closed form evaluated at each node's direction.  The corner quadrant is
     fully general thanks to rotation symmetry.
     """
@@ -120,7 +120,7 @@ def check_boundary_limit() -> CheckResult:
 
 
 def check_grid_center() -> CheckResult:
-    """Dijkstra-measured grid straightness matches the closed form."""
+    """Measured grid straightness matches the closed form."""
     graph = generate_rectilinear(GridSpec(10))
     return CheckResult("grid center curve", center_curve_check(graph), GEOMETRY_TOLERANCE)
 

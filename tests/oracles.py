@@ -12,7 +12,9 @@ fields formatted by ``format_angle``/``format_ratio``), and the
 generators must reproduce bit for bit.  ``loop_graph`` is the per-element
 ``NetworkGraph`` constructor (a dict of positions, a set of edges and a
 union-find) that the array constructor must match; its list adjacency is
-the arc layout that Dijkstra's batch-built arc lists must match.  The
+the arc layout that the geodesic kernel's arc arrays must match, and the
+arc lists ``dijkstra`` reads.  ``dijkstra`` is the one-source-at-a-time
+binary-heap search the vectorised kernel must equal bit for bit.  The
 ``scalar_*`` closed forms are the one-direction-at-a-time ``math``
 evaluation the array closed forms must equal exactly, and the
 ``loop_center_*`` checks the per-node center checks the row-kernel ones
@@ -23,11 +25,12 @@ builders and the tests index nodes through them.
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from types import SimpleNamespace
 
 import numpy as np
 
-from straightnet import dijkstra, sector_angle
+from straightnet import sector_angle, shortest_paths
 from straightnet.model import RIGID_TOLERANCE
 
 
@@ -50,6 +53,33 @@ def side_node_id(spec, ring, side, step):
 def euclidean_distance(a, b):
     """Crow-flies distance between two points."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def dijkstra(graph, sources):
+    """Shortest-path distances from each of ``sources`` under edge-length weights.
+
+    Yields one float64 row per source, in order, ``inf`` for unreachable
+    nodes; an id outside ``0..N-1`` raises when reached.  The heap breaks
+    ties by (distance, node id), so traversal order is reproducible.
+    """
+    n = graph.node_count
+    adjacency = loop_graph(graph.positions, graph.edges).adjacency
+    for source in sources:
+        if not 0 <= source < n:
+            raise ValueError(f"source id {source} outside 0..{n - 1}")
+        dist = [math.inf] * n
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:  # stale: pushes happen only on strict improvement
+                continue
+            for v, w in adjacency[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        yield np.asarray(dist)
 
 
 def all_pairs(graph):
@@ -227,6 +257,14 @@ def loop_graph(nodes, edges, symmetries=()):
         orbits=union_find_classes(n, [(u, v) for p in perms for u, v in enumerate(p)]),
         components=union_find_classes(n, pairs),
     )
+
+
+def kernel_adjacency(graph):
+    """The geodesic kernel's arc arrays as per-node ``(head, length)`` tuples."""
+    first, degree, offset, length = shortest_paths._arcs(graph)
+    tails = np.repeat(np.arange(graph.node_count), degree)
+    arcs = list(zip((tails + offset).tolist(), length.tolist()))
+    return tuple(tuple(arcs[f : f + d]) for f, d in zip(first.tolist(), degree.tolist()))
 
 
 def union_find_classes(n, links):

@@ -11,10 +11,10 @@ PUBLIC_NAMES = [
     "canonicalize",
     "center_curve_check",
     "center_radial_check",
-    "dijkstra",
     "dominance_fraction",
     "generate_radioconcentric",
     "generate_rectilinear",
+    "geodesics",
     "graph_from_json",
     "graph_to_json",
     "load_graph",

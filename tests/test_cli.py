@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from straightnet import dijkstra, load_graph
+from straightnet import geodesics, load_graph
 from straightnet.cli import MAX_CURVE_SAMPLES, MAX_RANGE_VALUES, _parse_range, main
 from straightnet.tables import read_table
 
@@ -180,6 +180,18 @@ class TestSweeps:
         assert f"more than {MAX_RANGE_VALUES} values" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("curve", "--radii"), ("sweep-rect", "--sizes"), ("sweep-radial", "--rings")],
+    )
+    def test_empty_range_option_is_refused(self, tmp_path, capsys, command, option):
+        # argparse stores "--" as an empty list without calling _parse_range
+        out = tmp_path / "table.csv"
+        output = "--out-csv" if command == "curve" else "--out"
+        assert run_cli(command, f"{option}=--", output, out) == 1
+        assert capsys.readouterr().err == f"straightnet: {option} selects no values\n"
+        assert not out.exists()
+
 
 class TestParseRange:
     @pytest.mark.parametrize(
@@ -343,8 +355,8 @@ class TestStraightness:
         assert "no measurable pair" in capsys.readouterr().err
         assert not pairs_path.exists()
 
-    def test_dump_runs_one_dijkstra_per_node(self, tmp_path, monkeypatch):
-        from straightnet import dijkstra, metrics, shortest_paths
+    def test_dump_runs_geodesics_from_every_node(self, tmp_path, monkeypatch):
+        from straightnet import metrics, shortest_paths
 
         graph_path = tmp_path / "grid.json"
         run_cli("gen", "rect", "--size", 5, "--out", graph_path)
@@ -352,10 +364,10 @@ class TestStraightness:
 
         def counting(graph, sources):
             calls.append(list(sources))
-            return dijkstra(graph, calls[-1])
+            return geodesics(graph, calls[-1])
 
-        for module in (metrics, shortest_paths):  # every binding of dijkstra
-            monkeypatch.setattr(module, "dijkstra", counting)
+        for module in (metrics, shortest_paths):  # every binding of geodesics
+            monkeypatch.setattr(module, "geodesics", counting)
         assert run_cli("straightness", graph_path, "--pairs-csv", tmp_path / "p.csv") == 0
         assert calls == [list(range(36))]
 
@@ -386,9 +398,9 @@ class TestValidate:
 
         def counting(graph, sources):
             batches.append(list(sources))
-            return dijkstra(graph, batches[-1])
+            return geodesics(graph, batches[-1])
 
-        monkeypatch.setattr(metrics, "dijkstra", counting)
+        monkeypatch.setattr(metrics, "geodesics", counting)
         names = [r.name for r in validation.run_all_checks()]
         assert batches == [[0], [0]]  # grid s=10 and the (8, 3, 4) wheel
         assert names[-3:] == [
@@ -511,7 +523,7 @@ def graph_documents(draw):
         if fault == "document" or not entries:
             return draw(st.one_of(JUNK, st.just({"nodes": nodes}), st.just({"edges": edges})))
         i = draw(st.integers(0, len(entries) - 1))
-        if fault == "entry" or not isinstance(entries[i], dict):
+        if fault == "entry" or not isinstance(entries[i], dict) or not entries[i]:
             entries[i] = draw(JUNK)
             continue
         key = draw(st.sampled_from(sorted(entries[i])))

@@ -9,7 +9,6 @@ from straightnet import (
     generate_radioconcentric,
     generate_rectilinear,
     sector_angle,
-    shortest_paths,
 )
 from straightnet.generators import MAX_NODES
 
@@ -222,7 +221,7 @@ def assert_same_graph(graph, reference):
     assert graph.positions.tobytes() == expected.positions.tobytes()
     assert graph.edges.tolist() == list(map(list, expected.edges))
     assert [p.tolist() for p in graph.symmetries] == list(map(list, symmetries))
-    assert shortest_paths._adjacency(graph) == expected.adjacency
+    assert oracles.kernel_adjacency(graph) == expected.adjacency
     assert graph.orbits == expected.orbits
 
 

@@ -11,9 +11,9 @@ from straightnet import (
     RadialSpec,
     center_curve_check,
     center_radial_check,
-    dijkstra,
     generate_radioconcentric,
     generate_rectilinear,
+    geodesics,
     graph_from_json,
     graph_to_json,
     metrics,
@@ -152,14 +152,14 @@ def assert_same_summary(orbit, generic):
     assert abs(orbit.std_dev - generic.std_dev) <= 1e-12
 
 
-def count_dijkstra_calls(monkeypatch, graph):
+def count_geodesics_calls(monkeypatch, graph):
     calls = []
 
     def counting(g, sources):
         calls.append(list(sources))
-        return dijkstra(g, calls[-1])
+        return geodesics(g, calls[-1])
 
-    monkeypatch.setattr(metrics, "dijkstra", counting)
+    monkeypatch.setattr(metrics, "geodesics", counting)
     summarize(graph)
     (batch,) = calls  # one batch per graph
     return batch
@@ -179,17 +179,17 @@ class TestOrbitReduction:
                 assert_same_summary(summarize(g), summarize(generic_copy(g)))
 
     def test_grid_runs_one_source_per_orbit(self, monkeypatch):
-        calls = count_dijkstra_calls(monkeypatch, generate_rectilinear(GridSpec(30)))
+        calls = count_geodesics_calls(monkeypatch, generate_rectilinear(GridSpec(30)))
         assert len(calls) == 136
 
     @pytest.mark.parametrize("k, m", [(3, 1), (8, 2), (20, 5)])
     def test_wheel_runs_one_source_per_orbit(self, monkeypatch, k, m):
         g = generate_radioconcentric(RadialSpec(k, m, 4))
-        assert len(count_dijkstra_calls(monkeypatch, g)) == 1 + 3 * m
+        assert len(count_geodesics_calls(monkeypatch, g)) == 1 + 3 * m
 
     def test_imported_graph_runs_every_source(self, monkeypatch):
         g = generic_copy(generate_rectilinear(GridSpec(4)))
-        assert count_dijkstra_calls(monkeypatch, g) == list(range(25))
+        assert count_geodesics_calls(monkeypatch, g) == list(range(25))
 
 
 class TestInvariance:
@@ -269,6 +269,17 @@ class TestRandomConnectedGraphs:
             assert len(finite) == g.node_count - 1  # connected: only the source is nan
             assert np.all(finite > 0.0) and np.all(finite <= 1.0 + ROUNDING)
 
+    @settings(max_examples=50, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_geodesics_equal_heap_dijkstra(self, case, data):
+        points, edges = case
+        # a random subset of the edges often splits the graph, so inf entries count too
+        kept = data.draw(st.lists(st.sampled_from(edges), unique=True), label="kept")
+        for g in (NetworkGraph(points, edges), NetworkGraph(points, kept)):
+            sources = range(g.node_count)
+            got = [row.tobytes() for row in geodesics(g, sources)]
+            assert got == [row.tobytes() for row in oracles.dijkstra(g, sources)]
+
 
 def dump_pairs(graph, path):
     """The pair table the ``straightness --pairs-csv`` command writes."""
@@ -331,9 +342,9 @@ class TestPairDump:
 
         def counting(graph, sources):
             calls.append(list(sources))
-            return dijkstra(graph, calls[-1])
+            return geodesics(graph, calls[-1])
 
-        monkeypatch.setattr(metrics, "dijkstra", counting)
+        monkeypatch.setattr(metrics, "geodesics", counting)
         dump_pairs(g, tmp_path / "pairs.csv")
         assert calls == [list(range(25))]
 

@@ -17,7 +17,6 @@ from straightnet import (
     load_graph,
     RadialSpec,
     save_graph,
-    shortest_paths,
 )
 
 import oracles
@@ -129,7 +128,7 @@ def test_edge_lengths_match_endpoint_distances(graph):
 
 
 def test_adjacency_is_symmetric():
-    adjacency = shortest_paths._adjacency(NetworkGraph(SQUARE_NODES, SQUARE_EDGES))
+    adjacency = oracles.kernel_adjacency(NetworkGraph(SQUARE_NODES, SQUARE_EDGES))
     for u in range(len(adjacency)):
         for v, w in adjacency[u]:
             assert (u, w) in adjacency[v]
@@ -397,7 +396,7 @@ def test_matches_the_loop_reference(case):
     g = NetworkGraph(nodes, edges, symmetries)
     assert g.edges.tolist() == list(map(list, expected.edges))
     assert g.edge_lengths.tobytes() == expected.edge_lengths.tobytes()
-    assert shortest_paths._adjacency(g) == expected.adjacency
+    assert oracles.kernel_adjacency(g) == expected.adjacency
     assert g.orbits == expected.orbits
     assert g.components() == expected.components
 

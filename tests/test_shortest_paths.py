@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,24 +8,36 @@ from straightnet import (
     GridSpec,
     NetworkGraph,
     RadialSpec,
-    dijkstra,
     generate_radioconcentric,
     generate_rectilinear,
+    geodesics,
+    shortest_paths,
 )
 
 import oracles
 from oracles import all_pairs, grid_node_id, ring_node_id
 
 
+def orbit_sources(graph):
+    return [source for source, _ in graph.orbits]
+
+
+def assert_same_rows(graph, sources):
+    got = [row.tobytes() for row in geodesics(graph, sources)]
+    assert got == [row.tobytes() for row in oracles.dijkstra(graph, sources)]
+
+
 class TestDijkstra:
+    """Hand-checked distances."""
+
     def test_unit_square_from_corner(self):
         g = generate_rectilinear(GridSpec(1))
-        assert next(dijkstra(g, [0])).tolist() == [0.0, 1.0, 1.0, 2.0]
+        assert next(geodesics(g, [0])).tolist() == [0.0, 1.0, 1.0, 2.0]
 
     def test_grid_distances_are_manhattan(self):
         spec = GridSpec(4)
         g = generate_rectilinear(spec)
-        row = next(dijkstra(g, [0]))
+        row = next(geodesics(g, [0]))
         assert row[grid_node_id(spec, 3, 4)] == 7.0
         for i in range(5):
             for j in range(5):
@@ -32,7 +45,7 @@ class TestDijkstra:
 
     def test_wheel_center_row(self):
         g = generate_radioconcentric(RadialSpec(4, 1))
-        assert next(dijkstra(g, [0])).tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert next(geodesics(g, [0])).tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_opposite_wheel_nodes_via_center(self):
         g = generate_radioconcentric(RadialSpec(4, 1))
@@ -42,19 +55,19 @@ class TestDijkstra:
     def test_invalid_source(self):
         g = generate_rectilinear(GridSpec(1))
         with pytest.raises(ValueError):
-            next(dijkstra(g, [4]))
+            next(geodesics(g, [4]))
         with pytest.raises(ValueError):
-            next(dijkstra(g, [-1]))
+            next(geodesics(g, [-1]))
 
     def test_unreachable_marked_infinite(self):
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], [(0, 1)])
-        row = next(dijkstra(g, [0]))
+        row = next(geodesics(g, [0]))
         assert row[1] == 1.0
         assert math.isinf(row[2])
 
 
 class TestBatch:
-    """One call runs a whole batch of sources over arc lists built once."""
+    """One call runs a whole batch of sources over arc arrays built once."""
 
     GRAPH = NetworkGraph(
         [(0.0, 0.0), (2.0, 0.0), (2.0, 1.5), (0.3, 0.4), (1.1, 2.2)],
@@ -62,20 +75,59 @@ class TestBatch:
     )
 
     def test_rows_come_in_source_order_with_repeats(self):
-        rows = list(dijkstra(self.GRAPH, [2, 0, 2]))
+        rows = list(geodesics(self.GRAPH, [2, 0, 2]))
         expected = all_pairs(self.GRAPH)
         assert len(rows) == 3
         for row, source in zip(rows, [2, 0, 2]):
             assert row.tobytes() == expected[source].tobytes()
 
     def test_empty_batch_yields_nothing(self):
-        assert list(dijkstra(self.GRAPH, [])) == []
+        assert list(geodesics(self.GRAPH, [])) == []
 
-    def test_bad_id_raises_when_reached(self):
-        rows = dijkstra(self.GRAPH, [0, 99])
-        assert next(rows).tobytes() == all_pairs(self.GRAPH)[0].tobytes()
+    def test_bad_id_raises_before_any_row(self):
+        rows = geodesics(self.GRAPH, [0, 99])
         with pytest.raises(ValueError, match=r"^source id 99 outside 0\.\.4$"):
             next(rows)
+
+    def test_batch_spanning_several_chunks(self, monkeypatch):
+        # three rows per chunk: ten sources, repeats included, take four chunks
+        graph = generate_radioconcentric(RadialSpec(7, 3, 3))
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 3 * graph.node_count + 2)
+        sources = [5, 0, 17, 5, 63, 1, 2, 40, 0, 9]
+        rows = list(geodesics(graph, sources))  # held: later chunks must not overwrite them
+        expected = oracles.dijkstra(graph, sources)
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in expected]
+
+    def test_large_batch_runs_in_bounded_memory(self):
+        # the 5,151 orbit rows of this grid at once would need 1.7 GB; one
+        # chunk of labels is 8 MB, the arc arrays 3 MB
+        graph = generate_rectilinear(GridSpec(200))
+        sources = orbit_sources(graph)
+        assert len(sources) == 5151
+        tracemalloc.start()
+        try:
+            rows = geodesics(graph, sources)
+            for _ in range(2 * (shortest_paths.CHUNK_ENTRIES // graph.node_count)):
+                next(rows)  # the first two chunks
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24_000_000
+
+
+class TestAgainstHeapDijkstra:
+    """The relaxation's rows equal the reference heap Dijkstra's bit for bit."""
+
+    def test_grid_sweep_graphs(self):
+        for size in range(1, 31):
+            graph = generate_rectilinear(GridSpec(size))
+            assert_same_rows(graph, orbit_sources(graph))
+
+    def test_radial_sweep_graphs(self):
+        for k in range(3, 21):
+            for m in range(1, 6):
+                graph = generate_radioconcentric(RadialSpec(k, m, 4))
+                assert_same_rows(graph, orbit_sources(graph))
 
 
 class TestAllPairs:
