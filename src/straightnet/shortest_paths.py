@@ -35,8 +35,8 @@ def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarra
     """Shortest-path distances from each of ``sources`` under edge-length weights.
 
     Yields one float64 row per source, in order, ``inf`` for unreachable
-    nodes.  Every id is checked before the first row is computed: one
-    outside ``0..N-1`` raises.  Each chunk of sources is one
+    nodes.  Every id is checked before the first row: a non-integer (even a
+    ``bool``) or one outside ``0..N-1`` raises.  Each chunk of sources is one
     Bellman-Ford-Moore relaxation over a flat ``rows x N`` label array that
     pushes only from the labels the last round lowered.  Lengths are
     non-negative, so ``fl(d + w)`` is monotone in ``d`` and never below it;
@@ -47,6 +47,8 @@ def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarra
     n = graph.node_count
     sources = list(sources)
     for source in sources:
+        if isinstance(source, bool) or not isinstance(source, (int, np.integer)):
+            raise ValueError(f"source id {source!r} is not an integer")
         if not 0 <= source < n:
             raise ValueError(f"source id {source} outside 0..{n - 1}")
     if not sources:

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .generators import GridSpec, RadialSpec, generate_radioconcentric, generate_rectilinear
-from .metrics import StraightnessSummary, summarize
-
-MAX_GRID_SWEEP_SIZE = 50  # pair count grows ~s^4; keep default workloads sane
+from .metrics import StraightnessSummary, check_work, summarize
 
 # Side meshing used by the radial simulation sweep.  Corner-only graphs
 # (subdivision 1) connect every privileged position directly and their mean
@@ -32,10 +30,12 @@ def _sweep(generate, cells) -> list[SweepResult]:
     """Generate and summarize each ``(parameters, spec)`` cell in order.
 
     The cells are built, and so validated, before any graph is generated.
+    Each cell's geodesic work joins one ``check_work`` total before it runs.
     """
-    results = []
+    results, spent = [], 0
     for parameters, spec in cells:
         graph = generate(spec)
+        spent = check_work(graph, graph.orbits, spent)
         start = time.perf_counter()
         summary = summarize(graph)
         elapsed_ms = max(0, int(round((time.perf_counter() - start) * 1000.0)))
@@ -45,11 +45,7 @@ def _sweep(generate, cells) -> list[SweepResult]:
 
 def sweep_rectilinear(sizes: Iterable[int]) -> list[SweepResult]:
     """All-pairs straightness of unit grids, one result per size."""
-    cells = []
-    for size in sizes:
-        if not 1 <= size <= MAX_GRID_SWEEP_SIZE:
-            raise ValueError(f"grid size {size} outside 1..{MAX_GRID_SWEEP_SIZE}")
-        cells.append(({"squares_per_side": size}, GridSpec(size)))
+    cells = [({"squares_per_side": s}, GridSpec(s)) for s in sizes]
     return _sweep(generate_rectilinear, cells)
 
 

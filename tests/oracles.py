@@ -5,11 +5,13 @@ library's shortest-path code: geodesics come from exhaustive simple-path
 enumeration over neighbor lists built here from the edge arrays, which is
 exact for the small graphs (<= ~10 nodes) the hand-checked cases use.
 ``exact_grid_summary`` is the grid aggregate summed over offset classes,
-with no path search at all.  ``all_pairs`` and ``pair_straightness`` are
-the plain per-pair path the library's row kernel is checked against (its
-fields formatted by ``format_angle``/``format_ratio``), and the
-``loop_*`` builders are the node-by-node construction the array-built
-generators must reproduce bit for bit.  ``loop_graph`` is the per-element
+with no path search at all.  ``two_pass_summary`` is the aggregate that
+keeps every row, which the one-pass fold of per-row moments must match.
+``all_pairs`` and ``pair_straightness`` are the plain per-pair path the
+library's row kernel is checked against (its fields formatted by
+``format_angle``/``format_ratio``), and the ``loop_*`` builders are the
+node-by-node construction the array-built generators must reproduce bit
+for bit.  ``loop_graph`` is the per-element
 ``NetworkGraph`` constructor (a dict of positions, a set of edges and a
 union-find) that the array constructor must match; its list adjacency is
 the arc layout that the geodesic kernel's arc arrays must match, and the
@@ -31,6 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from straightnet import sector_angle, shortest_paths
+from straightnet.metrics import StraightnessSummary
 from straightnet.model import RIGID_TOLERANCE
 
 
@@ -102,6 +105,31 @@ def exact_grid_summary(size):
     total = int(weight.sum())
     mean = float((weight * value).sum()) / total
     return total, mean, math.sqrt(float((weight * (value - mean) ** 2).sum()) / total)
+
+
+def two_pass_summary(graph, rows):
+    """``StraightnessSummary`` of ``rows`` by the two-pass aggregate.
+
+    Keeps every row's measured ratios, sums them for the mean, then sums the
+    squared deviations from that mean: the aggregate ``summarize`` folded
+    before it kept four numbers per row.
+    """
+    n = graph.node_count
+    kept = []
+    ordered_kept = ordered_skipped = 0
+    for _, weight, _, _, ratio in rows:
+        row = ratio[~np.isnan(ratio)]
+        kept.append((weight, row))
+        ordered_kept += weight * len(row)
+        ordered_skipped += weight * (n - 1 - len(row))
+    mean = sum(w * float(row.sum()) for w, row in kept) / ordered_kept
+    square_sum = sum(w * float(((row - mean) ** 2).sum()) for w, row in kept)
+    return StraightnessSummary(
+        pair_count=ordered_kept // 2,
+        mean=mean,
+        std_dev=math.sqrt(square_sum / ordered_kept),
+        skipped_pairs=ordered_skipped // 2,
+    )
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,13 @@ class TestSweeps:
         assert header == ["radii", "rings", "pair_count", "mean", "std_dev", "skipped"]
         assert [r["mean"] for r in rows] == ["1", "1"]
 
-    def test_rect_size_guard(self, tmp_path):
-        assert run_cli("sweep-rect", "--sizes", "60", "--out", tmp_path / "r.csv") == 1
+    def test_rect_size_guard(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("sweep-rect", "--sizes", "400", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("straightnet: ") and err.count("\n") == 1
+        assert "units of geodesic work, more than MAX_WORK=" in err
+        assert not out.exists()
 
     def test_bad_range_syntax(self, tmp_path):
         assert run_cli("sweep-rect", "--sizes", "5..1", "--out", tmp_path / "r.csv") == 1
@@ -353,6 +358,27 @@ class TestStraightness:
         pairs_path = tmp_path / "pairs.csv"
         assert run_cli("straightness", path, "--pairs-csv", pairs_path) == 1
         assert "no measurable pair" in capsys.readouterr().err
+        assert not pairs_path.exists()
+
+    @pytest.fixture(scope="class")
+    def large_wheel(self, tmp_path_factory):
+        """An 80,001-node wheel saved as JSON, so it loads without symmetries."""
+        path = tmp_path_factory.mktemp("large") / "wheel.json"
+        args = ("--radii", 200, "--rings", 100, "--subdivide", 4, "--out", path)
+        assert run_cli("gen", "radial", *args) == 0
+        return path
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_work_past_the_budget_is_refused(self, large_wheel, tmp_path, capsys, dump):
+        pairs_path = tmp_path / "pairs.csv"
+        extra = ("--pairs-csv", pairs_path) if dump else ()
+        capsys.readouterr()  # drop the fixture's own output
+        assert run_cli("straightness", large_wheel, *extra) == 1
+        captured = capsys.readouterr()
+        # 80,001 sources x (80,001 nodes + 100,000 edges)
+        message = "14400260001 units of geodesic work, more than MAX_WORK=536870912"
+        assert captured.err == f"straightnet: {message}\n"
+        assert captured.out == ""
         assert not pairs_path.exists()
 
     def test_dump_runs_geodesics_from_every_node(self, tmp_path, monkeypatch):

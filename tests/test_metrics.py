@@ -1,8 +1,11 @@
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from straightnet import (
@@ -32,6 +35,9 @@ from oracles import (
     ring_node_id,
     side_node_id,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  (the benchmark's seeded street graphs)
 
 SQRT7_OVER_1_PLUS_SQRT3 = math.sqrt(7.0) / (1.0 + math.sqrt(3.0))  # 0.9684121919...
 
@@ -139,6 +145,29 @@ class TestSummarize:
         second = summarize(g)
         assert first == second
 
+    def test_rows_without_a_measurable_pair_are_refused(self):
+        g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], [(0, 1)])
+        for rows in (iter([]), straightness_rows(g, [(2, 3)])):  # node 2 is isolated
+            with pytest.raises(ValueError, match="^no measurable pair in graph$"):
+                summarize(g, rows=rows)
+
+    def test_sources_may_be_a_one_shot_iterator(self):
+        g = generate_radioconcentric(RadialSpec(5, 2, 3))
+        rows = list(straightness_rows(g, ((v, 1) for v in range(g.node_count))))
+        assert [source for source, *_ in rows] == list(range(g.node_count))
+        assert summarize(g, rows=iter(rows)) == summarize(g, rows=straightness_rows(g))
+
+
+class TestWorkBudget:
+    def test_rows_are_refused_when_called(self, monkeypatch):
+        g = generate_rectilinear(GridSpec(2))  # 9 nodes, 12 edges
+        monkeypatch.setattr(metrics, "MAX_WORK", 9 * 21 - 1)
+        monkeypatch.setattr(metrics, "geodesics", None)  # any search would fail
+        with pytest.raises(ValueError, match=r"^189 units of geodesic work, more than MAX_WORK=188$"):
+            straightness_rows(g)  # the iterator is never advanced
+        with pytest.raises(ValueError, match="^189 units"):
+            summarize(generic_copy(g))
+
 
 def generic_copy(graph):
     """The same graph without symmetries, so summarize uses all N sources."""
@@ -241,6 +270,8 @@ def connected_graphs(draw):
 # A route sums at most 11 rounded edge lengths, so along collinear nodes the
 # ratio may round a few ulps past 1; 16 ulps bounds that with room to spare.
 ROUNDING = 16 * np.finfo(float).eps
+# Closest two points may be for a similar copy to keep every ratio to 1e-9.
+SPACING = 0.01
 
 
 class TestRandomConnectedGraphs:
@@ -279,6 +310,87 @@ class TestRandomConnectedGraphs:
             sources = range(g.node_count)
             got = [row.tobytes() for row in geodesics(g, sources)]
             assert got == [row.tobytes() for row in oracles.dijkstra(g, sources)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        connected_graphs(),
+        st.floats(min_value=0.05, max_value=40.0),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    )
+    def test_summary_is_similarity_invariant(self, case, scale, angle, shift):
+        points, edges = case
+        # Moving a point rounds it by about 1e-13 here, so a pair much closer
+        # than SPACING may merge or lose its ratio's leading digits: such
+        # layouts have no similar copy in floating point.
+        gaps = np.hypot(*(np.array(points)[:, None] - np.array(points)).T)
+        assume(gaps[np.triu_indices(len(points), 1)].min() >= SPACING)
+        c, s = math.cos(angle), math.sin(angle)
+        moved = scale * np.array(points) @ np.array([[c, s], [-s, c]]) + shift
+        expected = summarize(NetworkGraph(points, edges))
+        got = summarize(NetworkGraph(moved, edges))
+        assert (got.pair_count, got.skipped_pairs) == (expected.pair_count, 0)
+        assert abs(got.mean - expected.mean) <= 1e-9
+        assert abs(got.std_dev - expected.std_dev) <= 1e-9
+
+
+def std_gap_of_fold(graph, rows):
+    """``summarize``'s fold against ``oracles.two_pass_summary`` on the same rows.
+
+    Counts and mean must be identical; returns the gap between the two
+    standard deviations and the two-pass summary.
+    """
+    rows = list(rows)
+    got, expected = summarize(graph, rows=rows), oracles.two_pass_summary(graph, rows)
+    assert (got.pair_count, got.skipped_pairs) == (expected.pair_count, expected.skipped_pairs)
+    assert got.mean == expected.mean  # the same sums in the same order
+    return abs(got.std_dev - expected.std_dev), expected
+
+
+class TestOnePassFold:
+    """``summarize`` keeps four numbers per row and still matches the two passes."""
+
+    def test_grid_sweep_graphs(self):
+        for size in range(1, 31):
+            graph = generate_rectilinear(GridSpec(size))
+            gap, expected = std_gap_of_fold(graph, straightness_rows(graph, graph.orbits))
+            assert gap <= 2e-15 * expected.std_dev
+
+    def test_radial_sweep_graphs(self):
+        for k in range(3, 21):
+            for m in range(1, 6):
+                graph = generate_radioconcentric(RadialSpec(k, m, 4))
+                gap, expected = std_gap_of_fold(graph, straightness_rows(graph, graph.orbits))
+                assert gap <= 2e-15 * expected.std_dev
+
+    @pytest.mark.parametrize("seed", range(501, 511))
+    def test_street_graphs_with_every_row(self, seed):
+        graph = graph_from_json(workloads.street_graph(seed, 31))
+        gap, expected = std_gap_of_fold(graph, straightness_rows(graph))
+        assert gap <= 2e-15 * expected.std_dev
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_random_graphs(self, case, data):
+        points, edges = case
+        kept = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True), label="kept")
+        for graph in (NetworkGraph(points, edges), NetworkGraph(points, kept)):
+            gap, expected = std_gap_of_fold(graph, straightness_rows(graph))
+            # Rounding a row's mean moves either std by ulps of the mean, not
+            # of the std, which here may be 1e5 times smaller than the mean.
+            assert gap <= 2e-15 * expected.mean
+
+    def test_memory_grows_with_rows_not_pairs(self):
+        # 4,901 all-node rows: kept whole they are 192 MB, as moments 0.2 MB;
+        # one geodesic chunk is 8 MB
+        graph = generic_copy(generate_rectilinear(GridSpec(70)))
+        tracemalloc.start()
+        try:
+            summarize(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
 
 def dump_pairs(graph, path):

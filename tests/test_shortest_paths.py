@@ -89,6 +89,17 @@ class TestBatch:
         with pytest.raises(ValueError, match=r"^source id 99 outside 0\.\.4$"):
             next(rows)
 
+    @pytest.mark.parametrize("bad", [1.5, True, np.True_, 2.0, "1", None], ids=repr)
+    def test_non_integer_id_raises_before_any_row(self, bad):
+        rows = geodesics(self.GRAPH, [0, bad])
+        with pytest.raises(ValueError, match=rf"^source id {bad!r} is not an integer$"):
+            next(rows)
+
+    def test_numpy_integer_ids_are_ids(self):
+        rows = list(geodesics(self.GRAPH, np.array([2, 0], dtype=np.int32)))
+        expected = all_pairs(self.GRAPH)
+        assert [r.tobytes() for r in rows] == [expected[2].tobytes(), expected[0].tobytes()]
+
     def test_batch_spanning_several_chunks(self, monkeypatch):
         # three rows per chunk: ten sources, repeats included, take four chunks
         graph = generate_radioconcentric(RadialSpec(7, 3, 3))

@@ -10,7 +10,7 @@ from straightnet import (
     sweep_radial,
     sweep_rectilinear,
 )
-from straightnet import sweeps
+from straightnet import geodesics, metrics, sweeps
 from straightnet.tables import read_table, write_sweep_csv
 
 import oracles
@@ -39,12 +39,31 @@ class TestRectSweep:
         sizes = [r.parameters["squares_per_side"] for r in results]
         assert sizes == [3, 1, 2]
 
-    @pytest.mark.parametrize("size", [0, 51, -2])
+    @pytest.mark.parametrize("size", [0, -2])
     def test_size_guard(self, size, monkeypatch):
         calls = record_summaries(monkeypatch)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="at least 1"):
             sweep_rectilinear([1, 2, size])
         assert calls == []  # refused before any cell was summarized
+
+    def test_work_budget_is_one_running_total(self, monkeypatch):
+        budget = 0
+        for size in (1, 2, 3):
+            g = generate_rectilinear(GridSpec(size))
+            budget += len(g.orbits) * (g.node_count + g.edge_count)
+        monkeypatch.setattr(metrics, "MAX_WORK", budget)
+        searched = []
+
+        def counting(graph, sources):
+            searched.append(graph.node_count)
+            return geodesics(graph, sources)
+
+        monkeypatch.setattr(metrics, "geodesics", counting)
+        assert len(sweep_rectilinear([1, 2, 3])) == 3  # a total equal to the budget passes
+        searched.clear()
+        with pytest.raises(ValueError, match=f"^{budget + 6 * (25 + 40)} units .*MAX_WORK"):
+            sweep_rectilinear([1, 2, 3, 4])
+        assert searched == [4, 9, 16]  # the 5 x 5 grid of size 4 never ran
 
     def test_one_shot_iterator(self):
         results = sweep_rectilinear(iter([2, 1]))
