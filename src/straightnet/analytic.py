@@ -12,6 +12,7 @@ produce).
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -20,13 +21,18 @@ DOMINANCE_SAMPLES = 10001  # directions dominance_fraction samples on [0, pi/4]
 Angles = float | np.ndarray  # one direction in radians, or an array of them
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an ``int``: any integral number but ``bool`` (numpy ints pass)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)  # numpy ints can overflow
+
+
 def sector_angle(radii_count: int) -> float:
     """Angle between consecutive spokes, ``2*pi / k`` for integer k >= 3."""
-    if radii_count != int(radii_count):
-        raise ValueError("radii_count must be an integer")
-    if radii_count < 3:
-        raise ValueError("a radio-concentric network needs at least 3 radii")
-    return 2.0 * math.pi / radii_count
+    if (k := as_integer("radii_count", radii_count)) < 3:
+        raise ValueError("radii_count must be at least 3 (sides undefined below)")
+    return 2.0 * math.pi / k
 
 
 def canonicalize(theta: float, alpha: Angles) -> Angles:
@@ -114,7 +120,7 @@ def analytic_curve(
     ``alpha_steps`` samples; since the formulas reduce internally, radial
     curves show their full ripple pattern over the range.
     """
-    if alpha_steps < 2:
+    if (alpha_steps := as_integer("alpha_steps", alpha_steps)) < 2:
         raise ValueError("alpha_steps must be at least 2")
     # the largest sample, alpha_max * (alpha_steps - 1), must not overflow
     if not (math.isfinite(alpha_max * (alpha_steps - 1)) and alpha_max > 0.0):

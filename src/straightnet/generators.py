@@ -1,14 +1,16 @@
-"""Deterministic generators for perfect grid and radio-concentric networks."""
+"""Deterministic generators for perfect grid and radio-concentric networks.
+
+A spec's node, edge and orbit counts are those of the graph it generates.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
-from .analytic import sector_angle
+from .analytic import as_integer, sector_angle
 from .model import NetworkGraph
 
 # Largest node count a spec may ask for, so that an oversized request fails
@@ -23,10 +25,20 @@ class GridSpec:
     squares_per_side: int
 
     def __post_init__(self):
-        _check_integers(self)
-        if self.squares_per_side < 1:
-            raise ValueError("squares_per_side must be at least 1")
-        _check_node_count((self.squares_per_side + 1) ** 2)
+        _check(self)
+
+    @property
+    def node_count(self) -> int:
+        return (self.squares_per_side + 1) ** 2
+
+    @property
+    def edge_count(self) -> int:
+        return 2 * self.squares_per_side * (self.squares_per_side + 1)
+
+    @property
+    def orbit_count(self) -> int:
+        half = self.squares_per_side // 2 + 1  # nodes on a half side, middle included
+        return half * (half + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -46,28 +58,31 @@ class RadialSpec:
     side_subdivision: int = 1
 
     def __post_init__(self):
-        _check_integers(self)
-        if self.radii_count < 3:
-            raise ValueError("radii_count must be at least 3 (sides undefined below)")
-        if self.rings_count < 1:
-            raise ValueError("rings_count must be at least 1")
-        if self.side_subdivision < 1:
-            raise ValueError("side_subdivision must be at least 1")
-        _check_node_count(
-            1 + self.rings_count * self.radii_count * self.side_subdivision
-        )
+        sector_angle(self.radii_count)  # at least 3 spokes
+        _check(self)
+
+    @property
+    def node_count(self) -> int:
+        return 1 + self.rings_count * self.radii_count * self.side_subdivision
+
+    @property
+    def edge_count(self) -> int:
+        return self.radii_count * self.rings_count * (self.side_subdivision + 1)
+
+    @property
+    def orbit_count(self) -> int:
+        # the center, then per ring the corners and half of one chord's inner nodes
+        return 1 + self.rings_count * (1 + self.side_subdivision // 2)
 
 
-def _check_integers(spec) -> None:
+def _check(spec) -> None:
+    """Store every field as an ``int`` of at least 1, then cap the node count."""
     for field in fields(spec):
-        value = getattr(spec, field.name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{field.name} must be an integer, not {value!r}")
-        object.__setattr__(spec, field.name, int(value))  # numpy ints can overflow
-
-
-def _check_node_count(count: int) -> None:
-    if count > MAX_NODES:
+        value = as_integer(field.name, getattr(spec, field.name))
+        if value < 1:
+            raise ValueError(f"{field.name} must be at least 1")
+        object.__setattr__(spec, field.name, value)
+    if (count := spec.node_count) > MAX_NODES:
         raise ValueError(f"{count} nodes requested, more than MAX_NODES = {MAX_NODES}")
 
 

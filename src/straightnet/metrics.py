@@ -28,16 +28,18 @@ class StraightnessSummary:
     skipped_pairs: int
 
 
-# Most geodesic work one command may start, in units of sources x (N + E):
-# at the 65-130 ns per unit measured on a 2-core machine, about 35-70 s.
+# Most geodesic work one command may start, in units of sources x (N + E). A unit
+# took 65-130 ns on 2 cores on the benchmark's graphs (35-70 s in all), but up to
+# 1.6 us where shortest paths have many hops (a fixed cost per round, one per hop).
 MAX_WORK = 2**29
 
 
-def check_work(graph: NetworkGraph, sources, spent: int = 0) -> int:
-    """``spent`` plus the work of a geodesic batch from ``sources``; raises past MAX_WORK."""
-    if (total := spent + len(sources) * (graph.node_count + graph.edge_count)) > MAX_WORK:
-        raise ValueError(f"{total} units of geodesic work, more than {MAX_WORK=}")
-    return total
+def check_work(batches: Iterable[tuple[int, int, int]]) -> None:
+    """Raise once the running work of ``(sources, nodes, edges)`` batches passes MAX_WORK."""
+    total = 0
+    for sources, nodes, edges in batches:
+        if (total := total + sources * (nodes + edges)) > MAX_WORK:
+            raise ValueError(f"{total} units of geodesic work, more than {MAX_WORK=}")
 
 
 def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
@@ -49,7 +51,7 @@ def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     so always at the source itself.  The call checks the batch's work.
     """
     sources = [(v, 1) for v in range(graph.node_count)] if sources is None else list(sources)
-    check_work(graph, sources)
+    check_work([(len(sources), graph.node_count, graph.edge_count)])
     return _rows(graph, sources)
 
 

@@ -60,6 +60,7 @@ def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarra
         yield from _relax(arcs, n, chunk).reshape(len(chunk), n)
 
 
+@np.errstate(over="ignore")  # a candidate past a float's range is inf, so never kept
 def _relax(arcs: tuple[np.ndarray, ...], n: int, chunk: list[int]) -> np.ndarray:
     """Flat labels: ``n`` distances from each of ``chunk`` in turn."""
     first, degree, offset, length = arcs

@@ -29,13 +29,13 @@ class SweepResult:
 def _sweep(generate, cells) -> list[SweepResult]:
     """Generate and summarize each ``(parameters, spec)`` cell in order.
 
-    The cells are built, and so validated, before any graph is generated.
-    Each cell's geodesic work joins one ``check_work`` total before it runs.
+    The cells, and the geodesic work of all of them from the specs' counts
+    (one source per orbit), are checked before any graph is generated.
     """
-    results, spent = [], 0
+    check_work((spec.orbit_count, spec.node_count, spec.edge_count) for _, spec in cells)
+    results = []
     for parameters, spec in cells:
         graph = generate(spec)
-        spent = check_work(graph, graph.orbits, spent)
         start = time.perf_counter()
         summary = summarize(graph)
         elapsed_ms = max(0, int(round((time.perf_counter() - start) * 1000.0)))

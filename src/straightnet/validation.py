@@ -62,8 +62,8 @@ def center_radial_check(graph: NetworkGraph, spec: RadialSpec) -> tuple[float, f
     k, m, q = spec.radii_count, spec.rings_count, spec.side_subdivision
     if q < 2:
         raise ValueError("check needs side_subdivision >= 2")
-    if graph.node_count != 1 + m * k * q:
-        raise ValueError(f"graph has {graph.node_count} nodes, the spec {1 + m * k * q}")
+    if graph.node_count != spec.node_count:
+        raise ValueError(f"graph has {graph.node_count} nodes, the spec {spec.node_count}")
     _, _, _, _, measured = next(straightness_rows(graph, [(0, 1)]))
     x, y = graph.positions.T
     expected = straightness_radial(k, np.arctan2(y, x))

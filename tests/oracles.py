@@ -32,7 +32,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from straightnet import sector_angle, shortest_paths
+from straightnet import shortest_paths
+from straightnet.analytic import sector_angle
 from straightnet.metrics import StraightnessSummary
 from straightnet.model import RIGID_TOLERANCE
 

@@ -16,19 +16,16 @@ import pytest
 from straightnet import (
     GridSpec,
     RadialSpec,
-    canonicalize,
-    center_curve_check,
-    center_radial_check,
     generate_radioconcentric,
     generate_rectilinear,
     geodesics,
-    mesh_oracle_radial,
-    sector_angle,
     straightness_radial,
     summarize,
     sweep_radial,
     sweep_rectilinear,
 )
+from straightnet.analytic import canonicalize, mesh_oracle_radial, sector_angle
+from straightnet.validation import center_curve_check, center_radial_check
 from straightnet.cli import main
 
 import oracles

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from straightnet import (
     analytic_curve,
-    canonicalize,
     dominance_fraction,
-    mesh_oracle_radial,
-    sector_angle,
     straightness_radial,
     straightness_rectilinear,
 )
-from straightnet.analytic import DOMINANCE_SAMPLES
+from straightnet.analytic import (
+    DOMINANCE_SAMPLES,
+    canonicalize,
+    mesh_oracle_radial,
+    sector_angle,
+)
 
 from oracles import (
     scalar_canonicalize,
@@ -37,6 +39,26 @@ class TestSectorAngle:
     def test_fractional_spoke_count_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             sector_angle(4.5)
+
+    @pytest.mark.parametrize("k", [8.0, True, None, math.inf, "8"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            sector_angle,
+            lambda k: straightness_radial(k, 0.3),
+            dominance_fraction,
+            lambda k: mesh_oracle_radial(k, 0.3),
+        ],
+        ids=["sector_angle", "straightness_radial", "dominance", "mesh_oracle"],
+    )
+    def test_spoke_count_is_an_integer(self, call, k):
+        # one rule for every count: an integral floating value is refused too
+        with pytest.raises(ValueError, match="radii_count must be an integer"):
+            call(k)
+
+    def test_numpy_spoke_counts_accepted(self):
+        assert sector_angle(np.int64(8)) == sector_angle(8)
+        assert straightness_radial(np.uint8(8), 0.3) == straightness_radial(8, 0.3)
 
 
 class TestCanonicalize:
@@ -264,6 +286,21 @@ class TestAnalyticCurve:
     def test_needs_at_least_two_steps(self):
         with pytest.raises(ValueError):
             analytic_curve("rectilinear", None, 1)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, None])
+    def test_step_count_is_an_integer(self, steps):
+        # 2.5 used to give three samples, the last beyond alpha_max
+        with pytest.raises(ValueError, match="alpha_steps must be an integer"):
+            analytic_curve("rectilinear", None, steps, 1.0)
+
+    @pytest.mark.parametrize("k", [8.0, True, math.inf])
+    def test_spoke_count_is_an_integer(self, k):
+        # None is not here: it means "no spoke count" and has its own message
+        with pytest.raises(ValueError, match="radii_count must be an integer"):
+            analytic_curve("radial", k, 5)
+
+    def test_numpy_step_count_accepted(self):
+        assert analytic_curve("radial", 8, np.int64(5)) == analytic_curve("radial", 8, 5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

@@ -1,29 +1,21 @@
+import importlib
+
 import straightnet
 
 PUBLIC_NAMES = [
-    "CheckResult",
-    "DEFAULT_SWEEP_SUBDIVISION",
     "GridSpec",
     "NetworkGraph",
     "RadialSpec",
     "Series",
     "analytic_curve",
-    "canonicalize",
-    "center_curve_check",
-    "center_radial_check",
     "dominance_fraction",
     "generate_radioconcentric",
     "generate_rectilinear",
     "geodesics",
-    "graph_from_json",
-    "graph_to_json",
     "load_graph",
-    "mesh_oracle_radial",
     "render_svg",
     "run_all_checks",
     "save_graph",
-    "sector_angle",
-    "series_from_table",
     "straightness_radial",
     "straightness_rectilinear",
     "straightness_rows",
@@ -31,6 +23,16 @@ PUBLIC_NAMES = [
     "sweep_radial",
     "sweep_rectilinear",
 ]
+
+
+# helpers kept out of the package root, each importable from its module
+MODULE_NAMES = {
+    "analytic": ["canonicalize", "mesh_oracle_radial", "sector_angle"],
+    "model": ["graph_from_json", "graph_to_json"],
+    "svgplot": ["series_from_table"],
+    "sweeps": ["DEFAULT_SWEEP_SUBDIVISION"],
+    "validation": ["CheckResult", "center_curve_check", "center_radial_check"],
+}
 
 
 GRAPH_ATTRIBUTES = [
@@ -50,6 +52,13 @@ def test_public_api_is_pinned():
     assert sorted(straightnet.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(straightnet, name) is not None
+
+
+def test_helpers_live_in_their_modules():
+    for module, names in MODULE_NAMES.items():
+        for name in names:
+            assert hasattr(importlib.import_module(f"straightnet.{module}"), name)
+            assert not hasattr(straightnet, name)
 
 
 def test_graph_surface_is_pinned():

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,19 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert err.startswith("straightnet: ") and err.count("\n") == 1
         assert "units of geodesic work, more than MAX_WORK=" in err
+        assert not out.exists()
+
+    def test_late_budget_refusal_is_immediate(self, tmp_path, capsys):
+        # sizes 1..91 fit the budget; the refusal comes from the specs, not after them
+        out = tmp_path / "r.csv"
+        start = time.perf_counter()
+        assert run_cli("sweep-rect", "--sizes", "1..400", "--out", out) == 1
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "straightnet: 552712103 units of geodesic work, more than MAX_WORK=536870912\n"
+        )
+        assert captured.out == ""
         assert not out.exists()
 
     def test_bad_range_syntax(self, tmp_path):
@@ -407,8 +421,8 @@ class TestValidate:
         assert "pointwise win share" in out
 
     def test_violation_exits_two(self, monkeypatch, capsys):
-        from straightnet import CheckResult
         from straightnet import cli
+        from straightnet.validation import CheckResult
 
         broken = [CheckResult("made-up check", 1.0, 1e-9)]
         monkeypatch.setattr(cli, "run_all_checks", lambda: broken)

@@ -8,8 +8,8 @@ from straightnet import (
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
-    sector_angle,
 )
+from straightnet.analytic import sector_angle
 from straightnet.generators import MAX_NODES
 
 import oracles
@@ -64,6 +64,30 @@ class TestSpecValidation:
             GridSpec(1000)
         with pytest.raises(ValueError, match="1000001 nodes"):
             RadialSpec(5, 100_000, 2)
+
+
+def counts(spec, graph):
+    return (
+        (spec.node_count, spec.edge_count, spec.orbit_count),
+        (graph.node_count, graph.edge_count, len(graph.orbits)),
+    )
+
+
+class TestSpecCounts:
+    # the closed forms the sweeps' work budget is summed from, before any build
+    def test_grid_counts_match_the_graph(self):
+        for size in range(1, 61):
+            spec = GridSpec(size)
+            spec_counts, graph_counts = counts(spec, generate_rectilinear(spec))
+            assert spec_counts == graph_counts, size
+
+    def test_wheel_counts_match_the_graph(self):
+        for k in range(3, 25):
+            for m in range(1, 6):
+                for q in range(1, 7):
+                    spec = RadialSpec(k, m, q)
+                    spec_counts, graph_counts = counts(spec, generate_radioconcentric(spec))
+                    assert spec_counts == graph_counts, (k, m, q)
 
 
 class TestRectilinear:

@@ -12,18 +12,16 @@ from straightnet import (
     GridSpec,
     NetworkGraph,
     RadialSpec,
-    center_curve_check,
-    center_radial_check,
     generate_radioconcentric,
     generate_rectilinear,
     geodesics,
-    graph_from_json,
-    graph_to_json,
     metrics,
     straightness_rows,
     summarize,
 )
+from straightnet.model import graph_from_json, graph_to_json
 from straightnet.tables import read_table, write_pairs_csv
+from straightnet.validation import center_curve_check, center_radial_check
 
 import oracles
 from oracles import (

@@ -11,13 +11,12 @@ from straightnet import (
     NetworkGraph,
     generate_radioconcentric,
     generate_rectilinear,
-    graph_from_json,
-    graph_to_json,
     GridSpec,
     load_graph,
     RadialSpec,
     save_graph,
 )
+from straightnet.model import graph_from_json, graph_to_json
 
 import oracles
 

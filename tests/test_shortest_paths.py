@@ -65,6 +65,12 @@ class TestDijkstra:
         assert row[1] == 1.0
         assert math.isinf(row[2])
 
+    def test_candidate_overflow_is_silent(self):
+        # one edge near a float's range: the way back from node 1 sums past it
+        g = NetworkGraph([(1e308, 0.0), (0.0, 1.0)], [(0, 1)])
+        rows = list(geodesics(g, [0, 1]))
+        assert [row.tolist() for row in rows] == [[0.0, 1e308], [1e308, 0.0]]
+
 
 class TestBatch:
     """One call runs a whole batch of sources over arc arrays built once."""

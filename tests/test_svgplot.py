@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from straightnet import Series, analytic_curve, render_svg, series_from_table
-from straightnet.svgplot import write_svg
+from straightnet import Series, analytic_curve, render_svg
+from straightnet.svgplot import series_from_table, write_svg
 
 
 def curve_series(count=5):

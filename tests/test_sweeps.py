@@ -1,7 +1,6 @@
 import pytest
 
 from straightnet import (
-    DEFAULT_SWEEP_SUBDIVISION,
     GridSpec,
     RadialSpec,
     generate_radioconcentric,
@@ -10,7 +9,8 @@ from straightnet import (
     sweep_radial,
     sweep_rectilinear,
 )
-from straightnet import geodesics, metrics, sweeps
+from straightnet import metrics, sweeps
+from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION
 from straightnet.tables import read_table, write_sweep_csv
 
 import oracles
@@ -52,18 +52,19 @@ class TestRectSweep:
             g = generate_rectilinear(GridSpec(size))
             budget += len(g.orbits) * (g.node_count + g.edge_count)
         monkeypatch.setattr(metrics, "MAX_WORK", budget)
-        searched = []
+        built = []
 
-        def counting(graph, sources):
-            searched.append(graph.node_count)
-            return geodesics(graph, sources)
+        def counting(spec):
+            built.append(spec.squares_per_side)
+            return generate_rectilinear(spec)
 
-        monkeypatch.setattr(metrics, "geodesics", counting)
+        monkeypatch.setattr(sweeps, "generate_rectilinear", counting)
         assert len(sweep_rectilinear([1, 2, 3])) == 3  # a total equal to the budget passes
-        searched.clear()
+        assert built == [1, 2, 3]
+        built.clear()
         with pytest.raises(ValueError, match=f"^{budget + 6 * (25 + 40)} units .*MAX_WORK"):
             sweep_rectilinear([1, 2, 3, 4])
-        assert searched == [4, 9, 16]  # the 5 x 5 grid of size 4 never ran
+        assert built == []  # refused from the specs' counts, before any graph is built
 
     def test_one_shot_iterator(self):
         results = sweep_rectilinear(iter([2, 1]))
