@@ -18,6 +18,7 @@ import numpy as np
 
 RIGHT_ANGLE = math.pi / 2.0
 DOMINANCE_SAMPLES = 10001  # directions dominance_fraction samples on [0, pi/4]
+MAX_CURVE_SAMPLES = 1_000_000  # most rows a curve table may hold; checked before sampling
 Angles = float | np.ndarray  # one direction in radians, or an array of them
 
 
@@ -26,6 +27,12 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)  # numpy ints can overflow
+
+
+def check_curve_samples(count: int) -> None:
+    """Refuse ``count`` curve samples, over MAX_CURVE_SAMPLES, before any is taken."""
+    if count > MAX_CURVE_SAMPLES:
+        raise ValueError(f"{count} curve samples, more than {MAX_CURVE_SAMPLES=}")
 
 
 def sector_angle(radii_count: int) -> float:
@@ -122,6 +129,7 @@ def analytic_curve(
     """
     if (alpha_steps := as_integer("alpha_steps", alpha_steps)) < 2:
         raise ValueError("alpha_steps must be at least 2")
+    check_curve_samples(alpha_steps)
     # the largest sample, alpha_max * (alpha_steps - 1), must not overflow
     if not (math.isfinite(alpha_max * (alpha_steps - 1)) and alpha_max > 0.0):
         raise ValueError("alpha_max must be finite and positive")

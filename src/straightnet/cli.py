@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import __version__
-from .analytic import analytic_curve, dominance_fraction
+from .analytic import MAX_CURVE_SAMPLES, analytic_curve, check_curve_samples, dominance_fraction
 from .generators import (
     GridSpec,
     RadialSpec,
@@ -40,8 +40,6 @@ DEFAULT_CURVE_RADII = (3, 4, 8, 16)
 
 # Most values a range expression may select; checked before any is built.
 MAX_RANGE_VALUES = 10_000
-# Most rows (networks x steps) a curve table may hold; checked before sampling.
-MAX_CURVE_SAMPLES = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +99,7 @@ def _cmd_curve(args) -> int:
         kinds.append(("rectilinear", 4))
     if "radial" in args.kinds:
         kinds.extend(("radial", k) for k in args.radii)
-    if (count := len(kinds) * args.steps) > MAX_CURVE_SAMPLES:
-        raise ValueError(f"{count} curve samples, more than {MAX_CURVE_SAMPLES=}")
+    check_curve_samples(len(kinds) * args.steps)
     curves = [
         (kind, k, analytic_curve(kind, k, args.steps, args.alpha_max))
         for kind, k in kinds

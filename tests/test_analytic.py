@@ -13,6 +13,7 @@ from straightnet import (
 )
 from straightnet.analytic import (
     DOMINANCE_SAMPLES,
+    MAX_CURVE_SAMPLES,
     canonicalize,
     mesh_oracle_radial,
     sector_angle,
@@ -298,6 +299,16 @@ class TestAnalyticCurve:
         # None is not here: it means "no spoke count" and has its own message
         with pytest.raises(ValueError, match="radii_count must be an integer"):
             analytic_curve("radial", k, 5)
+
+    @pytest.mark.parametrize(
+        "steps", [MAX_CURVE_SAMPLES + 1, 10**12, 10**400], ids=["cap+1", "1e12", "1e400"]
+    )
+    def test_sample_cap_refused_before_sampling(self, steps):
+        # 10**12 samples would need 7.28 TiB; 10**400 overflowed a float
+        message = f"{steps} curve samples, more than MAX_CURVE_SAMPLES=1000000"
+        with pytest.raises(ValueError) as refused:
+            analytic_curve("rectilinear", None, steps)
+        assert str(refused.value) == message
 
     def test_numpy_step_count_accepted(self):
         assert analytic_curve("radial", 8, np.int64(5)) == analytic_curve("radial", 8, 5)

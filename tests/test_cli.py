@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from straightnet import geodesics, load_graph
+from straightnet import load_graph
 from straightnet.cli import MAX_CURVE_SAMPLES, MAX_RANGE_VALUES, _parse_range, main
+from straightnet.shortest_paths import cell_geodesics
 from straightnet.tables import read_table
 
 
@@ -402,12 +403,16 @@ class TestStraightness:
         run_cli("gen", "rect", "--size", 5, "--out", graph_path)
         calls = []
 
-        def counting(graph, sources):
-            calls.append(list(sources))
-            return geodesics(graph, calls[-1])
+        def counting(cells):
+            for graph, sources in cells:
+                calls.append(list(sources))
+                yield graph, calls[-1]
 
-        for module in (metrics, shortest_paths):  # every binding of geodesics
-            monkeypatch.setattr(module, "geodesics", counting)
+        def spy(cells):
+            return cell_geodesics(counting(cells))
+
+        for module in (metrics, shortest_paths):  # every binding of the one search entry
+            monkeypatch.setattr(module, "cell_geodesics", spy)
         assert run_cli("straightness", graph_path, "--pairs-csv", tmp_path / "p.csv") == 0
         assert calls == [list(range(36))]
 
@@ -436,11 +441,12 @@ class TestValidate:
 
         batches = []
 
-        def counting(graph, sources):
-            batches.append(list(sources))
-            return geodesics(graph, batches[-1])
+        def counting(cells):
+            for graph, sources in cells:
+                batches.append(list(sources))
+                yield graph, batches[-1]
 
-        monkeypatch.setattr(metrics, "geodesics", counting)
+        monkeypatch.setattr(metrics, "cell_geodesics", lambda c: cell_geodesics(counting(c)))
         names = [r.name for r in validation.run_all_checks()]
         assert batches == [[0], [0]]  # grid s=10 and the (8, 3, 4) wheel
         assert names[-3:] == [

@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from straightnet import (
     generate_rectilinear,
     geodesics,
     metrics,
+    shortest_paths,
     straightness_rows,
     summarize,
 )
 from straightnet.model import graph_from_json, graph_to_json
+from straightnet.shortest_paths import cell_geodesics
 from straightnet.tables import read_table, write_pairs_csv
 from straightnet.validation import center_curve_check, center_radial_check
 
@@ -160,7 +163,7 @@ class TestWorkBudget:
     def test_rows_are_refused_when_called(self, monkeypatch):
         g = generate_rectilinear(GridSpec(2))  # 9 nodes, 12 edges
         monkeypatch.setattr(metrics, "MAX_WORK", 9 * 21 - 1)
-        monkeypatch.setattr(metrics, "geodesics", None)  # any search would fail
+        monkeypatch.setattr(metrics, "cell_geodesics", None)  # any search would fail
         with pytest.raises(ValueError, match=r"^189 units of geodesic work, more than MAX_WORK=188$"):
             straightness_rows(g)  # the iterator is never advanced
         with pytest.raises(ValueError, match="^189 units"):
@@ -179,14 +182,21 @@ def assert_same_summary(orbit, generic):
     assert abs(orbit.std_dev - generic.std_dev) <= 1e-12
 
 
-def count_geodesics_calls(monkeypatch, graph):
+def spy_searches(monkeypatch):
+    """Record the sources of each cell that goes through ``metrics.cell_geodesics``."""
     calls = []
 
-    def counting(g, sources):
-        calls.append(list(sources))
-        return geodesics(g, calls[-1])
+    def counting(cells):
+        for graph, sources in cells:
+            calls.append(list(sources))
+            yield graph, calls[-1]
 
-    monkeypatch.setattr(metrics, "geodesics", counting)
+    monkeypatch.setattr(metrics, "cell_geodesics", lambda cells: cell_geodesics(counting(cells)))
+    return calls
+
+
+def count_geodesics_calls(monkeypatch, graph):
+    calls = spy_searches(monkeypatch)
     summarize(graph)
     (batch,) = calls  # one batch per graph
     return batch
@@ -308,6 +318,27 @@ class TestRandomConnectedGraphs:
             sources = range(g.node_count)
             got = [row.tobytes() for row in geodesics(g, sources)]
             assert got == [row.tobytes() for row in oracles.dijkstra(g, sources)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(connected_graphs(), min_size=1, max_size=6), st.data())
+    def test_packed_cells_equal_heap_dijkstra(self, cases, data):
+        cells = []
+        for points, edges in cases:
+            kept = data.draw(st.lists(st.sampled_from(edges), unique=True), label="kept")
+            g = NetworkGraph(points, data.draw(st.sampled_from([edges, kept]), label="edges"))
+            # repeats, and numpy ints of any width mixed with Python ints
+            kind = st.sampled_from([int, np.int32, np.uint64])
+            ids = st.lists(st.tuples(st.integers(0, g.node_count - 1), kind), max_size=20)
+            cells.append((g, [as_id(v) for v, as_id in data.draw(ids, label="sources")]))
+        limits = st.sampled_from([1, 7, 40, shortest_paths.PACK_ENTRIES])
+        with mock.patch.multiple(
+            shortest_paths,
+            PACK_ENTRIES=data.draw(limits, label="pack"),
+            CHUNK_ENTRIES=data.draw(st.sampled_from([1, 13, 100]), label="chunk"),
+        ):
+            got = [row.tobytes() for row in cell_geodesics(cells)]
+        expected = [row.tobytes() for g, s in cells for row in oracles.dijkstra(g, s)]
+        assert got == expected
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -448,13 +479,7 @@ class TestPairDump:
 
     def test_symmetric_grid_dump_runs_every_source(self, monkeypatch, tmp_path):
         g = generate_rectilinear(GridSpec(4))
-        calls = []
-
-        def counting(graph, sources):
-            calls.append(list(sources))
-            return geodesics(graph, calls[-1])
-
-        monkeypatch.setattr(metrics, "geodesics", counting)
+        calls = spy_searches(monkeypatch)
         dump_pairs(g, tmp_path / "pairs.csv")
         assert calls == [list(range(25))]
 

@@ -13,6 +13,7 @@ from straightnet import (
     geodesics,
     shortest_paths,
 )
+from straightnet.shortest_paths import cell_geodesics
 
 import oracles
 from oracles import all_pairs, grid_node_id, ring_node_id
@@ -117,7 +118,7 @@ class TestBatch:
 
     def test_large_batch_runs_in_bounded_memory(self):
         # the 5,151 orbit rows of this grid at once would need 1.7 GB; one
-        # chunk of labels is 8 MB, the arc arrays 3 MB
+        # chunk of labels is 1 MB (3 rows), the arc arrays 3 MB; 5.5 MB measured
         graph = generate_rectilinear(GridSpec(200))
         sources = orbit_sources(graph)
         assert len(sources) == 5151
@@ -129,7 +130,57 @@ class TestBatch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24_000_000
+        assert peak < 8_000_000
+
+
+class TestCells:
+    """Small cells in a row share one relaxation; rows stay each cell's own."""
+
+    GRID = generate_rectilinear(GridSpec(2))  # 9 nodes
+    WHEEL = generate_radioconcentric(RadialSpec(5, 1, 2))  # 11 nodes
+
+    def packs(self, monkeypatch, cells, pack_entries, chunk_entries=1 << 17):
+        """Rows of ``cells`` and the ``(nodes, rows)`` cells of each relaxation."""
+        monkeypatch.setattr(shortest_paths, "PACK_ENTRIES", pack_entries)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", chunk_entries)
+        packs, relax = [], shortest_paths._rows
+
+        def recording(pack, width):
+            packs.append([(n, len(sources)) for _, n, sources in pack])
+            return relax(pack, width)
+
+        monkeypatch.setattr(shortest_paths, "_rows", recording)
+        rows = [row.tobytes() for row in cell_geodesics(cells)]
+        expected = [row.tobytes() for g, s in cells for row in oracles.dijkstra(g, s)]
+        assert rows == expected
+        return packs
+
+    def test_small_cells_share_one_relaxation(self, monkeypatch):
+        cells = [(self.GRID, [0, 4]), (self.WHEEL, [3]), (self.GRID, []), (self.GRID, [8])]
+        packs = self.packs(monkeypatch, cells, shortest_paths.PACK_ENTRIES)
+        assert packs == [[(9, 2), (11, 1), (9, 1)]]
+
+    def test_cell_split_across_two_packs(self, monkeypatch):
+        # two rows per chunk, five 9-wide rows per pack: the second cell's
+        # chunks fall on both sides of the first pack's end
+        cells = [(self.GRID, [0, 1, 2]), (self.GRID, [3, 4, 5, 6])]
+        packs = self.packs(monkeypatch, cells, 5 * 9, chunk_entries=2 * 9)
+        assert packs == [[(9, 2), (9, 1), (9, 2)], [(9, 2)]]
+
+    def test_cell_larger_than_a_pack_runs_alone(self, monkeypatch):
+        cells = [(self.GRID, [0]), (self.WHEEL, [0, 5, 5]), (self.GRID, [7, 2])]
+        packs = self.packs(monkeypatch, cells, 2 * 11)
+        assert packs == [[(9, 1)], [(11, 3)], [(9, 2)]]
+
+    def test_bad_id_in_third_cell_raises_before_its_rows(self, monkeypatch):
+        monkeypatch.setattr(shortest_paths, "PACK_ENTRIES", 9)  # one grid row per pack
+        rows = cell_geodesics([(self.GRID, [0]), (self.GRID, [4, 8]), (self.GRID, [3, 9])])
+        got = []
+        with pytest.raises(ValueError, match=r"^source id 9 outside 0\.\.8$"):
+            for row in rows:
+                got.append(row.tobytes())
+        expected = [row.tobytes() for row in oracles.dijkstra(self.GRID, [0, 4, 8])]
+        assert got == expected[: len(got)]  # rows of earlier cells only, in order
 
 
 class TestAgainstHeapDijkstra:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from straightnet import (
@@ -130,6 +132,39 @@ class TestRadialSweep:
             for m in rings
         )
         assert ring_spread < spoke_spread
+
+
+class TestPackedCells:
+    """Small cells share geodesic relaxations; every summary stays its own graph's."""
+
+    def test_default_radial_cells_equal_direct_summaries(self):
+        for result in sweep_radial(range(3, 21), range(1, 6)):
+            k, m = result.parameters["radii"], result.parameters["rings"]
+            spec = RadialSpec(k, m, DEFAULT_SWEEP_SUBDIVISION)
+            assert result.summary == summarize(generate_radioconcentric(spec))
+
+    def test_grid_cells_equal_direct_summaries(self):
+        for size, result in zip(range(1, 31), sweep_rectilinear(range(1, 31))):
+            assert result.summary == summarize(generate_rectilinear(GridSpec(size)))
+
+    @pytest.mark.parametrize(
+        "sweep, bound",
+        [
+            (lambda: sweep_radial(range(3, 21), range(1, 6)), 2_000_000),
+            # the largest cell alone peaks at 2.4 MB: a sweep that kept earlier
+            # graphs, or the last cell's labels, while relaxing it passes 3 MB
+            (lambda: sweep_rectilinear(range(1, 31)), 3_000_000),
+        ],
+        ids=["radial", "rect"],
+    )
+    def test_peak_memory(self, sweep, bound):
+        tracemalloc.start()
+        try:
+            sweep()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestSweepCsv:
