@@ -34,6 +34,11 @@ class StraightnessSummary:
 # 1.6 us where shortest paths have many hops (a fixed cost per round, one per hop).
 MAX_WORK = 2**29
 
+# A ratio too small for a float (crow-flies distance below about 5e-324 times the
+# route) reads as the smallest positive float, so no pair at distinct positions
+# gets straightness 0.
+SMALLEST_RATIO = np.nextafter(0.0, 1.0)
+
 
 def check_work(batches: Iterable[tuple[int, int, int]]) -> None:
     """Raise once the running work of ``(sources, nodes, edges)`` batches passes MAX_WORK."""
@@ -49,7 +54,8 @@ def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     One :func:`geodesics` batch over the ``(source, weight)`` pairs in
     ``sources`` (default: every node, weight 1).  Arrays run over all
     targets; straightness is ``nan`` for unreachable or co-located pairs,
-    so always at the source itself.  The call checks the batch's work.
+    so always at the source itself, and otherwise in ``(0, 1]`` up to
+    rounding.  The call checks the batch's work.
     """
     sources = [(v, 1) for v in range(graph.node_count)] if sources is None else list(sources)
     check_work([(len(sources), graph.node_count, graph.edge_count)])
@@ -79,6 +85,7 @@ def _rows(graph: NetworkGraph, sources: list, found: Iterator) -> Iterator[tuple
         d_s = np.hypot(*(graph.positions - graph.positions[source]).T)
         ratio = np.full(len(d_g), math.nan)
         np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))
+        np.maximum(ratio, SMALLEST_RATIO, out=ratio)  # nan stays nan
         yield source, weight, d_s, d_g, ratio
 
 

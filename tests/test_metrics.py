@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from straightnet import (
@@ -301,6 +301,8 @@ class TestRandomConnectedGraphs:
 
     @settings(max_examples=50, deadline=None)
     @given(connected_graphs())
+    # 5e-324 apart, 2 apart by road: the true ratio is below the smallest float
+    @example(([(0.0, 1.0), (0.0, 0.0), (0.0, 5e-324)], [(0, 1), (0, 2)]))
     def test_straightness_lies_in_the_unit_interval(self, case):
         g = NetworkGraph(*case)
         for _, _, _, _, ratio in straightness_rows(g):
