@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import __version__
-from .analytic import MAX_CURVE_SAMPLES, analytic_curve, check_curve_samples, dominance_fraction
+from .analytic import analytic_curve, check_curve_samples, dominance_fraction
 from .generators import (
     GridSpec,
     RadialSpec,
@@ -129,7 +129,7 @@ def _report_sweep(results, out, label: str) -> int:
         print(
             f"{label.format(**r.parameters)}: "
             f"mean {r.summary.mean:.6f}  std {r.summary.std_dev:.6f}  "
-            f"pairs {r.summary.pair_count}  ({r.wall_time_ms} ms)"
+            f"pairs {r.summary.pair_count}"
         )
     print(f"-> {out}")
     return EXIT_OK

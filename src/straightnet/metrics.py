@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -62,26 +62,18 @@ def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     return _rows(graph, sources, cell_geodesics([(graph, [s for s, _ in sources])]))
 
 
-def cell_rows(cells: Iterable[tuple[NetworkGraph, list]]) -> Iterator[tuple]:
-    """``(graph, rows)`` per ``(graph, sources)`` cell, read when first needed; rows
-    as :func:`straightness_rows`.  Small cells share relaxations, so read each
-    cell's rows in full before the next.  Callers check the work."""
-    cells, queues, end = iter(cells), (deque(), deque()), object()
-
-    def side(mine: deque, theirs: deque) -> Iterator:  # tee would keep 57 cells
-        while mine or (cell := next(cells, end)) is not end:
-            if mine:
-                cell = mine.popleft()
-            else:
-                theirs.append(cell)  # the first side to read a cell queues it for the other
-            yield cell
-
-    found = cell_geodesics((graph, [s for s, _ in sources]) for graph, sources in side(*queues))
-    return ((graph, _rows(graph, sources, found)) for graph, sources in side(*queues[::-1]))
+def orbit_rows(graphs: Iterable[NetworkGraph]) -> Iterator[tuple]:
+    """``(graph, rows)`` per graph, read when first needed; rows as :func:`straightness_rows`
+    over its orbits.  Small graphs share relaxations, so read each one's rows in full
+    before the next.  Rows are grouped by graph identity, so each graph must be a new
+    object, as a sweep builds one per cell.  Callers check the work."""
+    found = cell_geodesics((g, [s for s, _ in g.orbits]) for g in graphs)
+    for graph, tagged in groupby(found, key=lambda item: item[0]):
+        yield graph, _rows(graph, graph.orbits, tagged)
 
 
 def _rows(graph: NetworkGraph, sources: list, found: Iterator) -> Iterator[tuple]:
-    for (source, weight), d_g in zip(sources, found):  # sources first: no row of the next cell
+    for (source, weight), (_, d_g) in zip(sources, found):  # sources first: no later row read
         d_s = np.hypot(*(graph.positions - graph.positions[source]).T)
         ratio = np.full(len(d_g), math.nan)
         np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))

@@ -39,11 +39,11 @@ def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarra
     nodes.  Every id is checked before the first row: a non-integer (even a
     ``bool``) or one outside ``0..N-1`` raises.
     """
-    return cell_geodesics([(graph, sources)])
+    return (row for _, row in cell_geodesics([(graph, sources)]))
 
 
-def cell_geodesics(cells: Iterable[tuple[NetworkGraph, Iterable[int]]]) -> Iterator[np.ndarray]:
-    """The :func:`geodesics` rows of each ``(graph, sources)`` cell, read when needed.
+def cell_geodesics(cells: Iterable[tuple[NetworkGraph, Iterable[int]]]) -> Iterator[tuple]:
+    """``(graph, row)`` per :func:`geodesics` row of each ``(graph, sources)`` cell, read lazily.
 
     Small cells in a row share one Bellman-Ford-Moore relaxation over flat labels
     that pushes from those the last round lowered; arcs stay in their graph, so
@@ -51,7 +51,7 @@ def cell_geodesics(cells: Iterable[tuple[NetworkGraph, Iterable[int]]]) -> Itera
     ``d`` and never below it: every order reaches the least fixpoint, the minimum
     over walks of their left-to-right float sums, and rows equal heap Dijkstra's.
     """
-    pack, held, width = [], 0, 0  # (arcs, n, sources) per chunk; their rows, row width
+    pack, held, width = [], 0, 0  # (graph, arcs, sources) per chunk; their rows, row width
     for graph, sources in cells:
         n, sources = graph.node_count, list(sources)
         for source in sources:
@@ -65,18 +65,18 @@ def cell_geodesics(cells: Iterable[tuple[NetworkGraph, Iterable[int]]]) -> Itera
             if pack and (held + len(chunk)) * max(width, n) > PACK_ENTRIES:
                 yield from _rows(pack, width)
                 pack, held, width = [], 0, 0
-            pack.append((arcs, n, chunk))
+            pack.append((graph, arcs, chunk))
             held, width = held + len(chunk), max(width, n)
     if pack:
         yield from _rows(pack, width)
 
 
-def _rows(pack: list[tuple], width: int) -> Iterator[np.ndarray]:
-    """Each ``(arcs, n, sources)`` cell's rows from one relaxation, ``width`` labels a row."""
-    arcs = zip(*(arcs[1:] for arcs, _, _ in pack))  # a lone graph's are not copied
+def _rows(pack: list[tuple], width: int) -> Iterator[tuple]:
+    """``(graph, row)`` per source of each ``(graph, arcs, sources)`` chunk, ``width`` a row."""
+    arcs = zip(*(arcs[1:] for _, arcs, _ in pack))  # a lone graph's are not copied
     degree, offset, length = (a[0] if len(pack) == 1 else np.concatenate(a) for a in arcs)
     first = np.cumsum(degree) - degree
-    counts, nodes = zip(*((len(sources), n) for _, n, sources in pack))
+    counts, nodes = zip(*((len(sources), graph.node_count) for graph, _, sources in pack))
     starts = np.arange(sum(counts)) * width
     # the graphs laid end to end: label i lies at their node i + shift[i // width]
     shift = np.repeat(np.cumsum(nodes) - nodes, counts) - starts
@@ -98,4 +98,5 @@ def _rows(pack: list[tuple], width: int) -> Iterator[np.ndarray]:
             lowered[head] = True
             changed = np.flatnonzero(lowered)
             lowered[changed] = False
-    yield from (row[:n] for row, n in zip(labels.reshape(-1, width), np.repeat(nodes, counts)))
+    graphs = (graph for graph, _, sources in pack for _ in sources)
+    yield from ((g, row[: g.node_count]) for g, row in zip(graphs, labels.reshape(-1, width)))

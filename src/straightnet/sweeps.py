@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
 from .generators import GridSpec, RadialSpec, generate_radioconcentric, generate_rectilinear
-from .metrics import StraightnessSummary, cell_rows, check_work, summarize
+from .metrics import StraightnessSummary, check_work, orbit_rows, summarize
 
 # Side meshing used by the radial simulation sweep.  Corner-only graphs
 # (subdivision 1) connect every privileged position directly and their mean
@@ -19,11 +18,10 @@ DEFAULT_SWEEP_SUBDIVISION = 4
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One sweep cell: generator parameters, aggregate, wall time."""
+    """One sweep cell: generator parameters and aggregate (packed cells have no own time)."""
 
     parameters: dict[str, int]
     summary: StraightnessSummary
-    wall_time_ms: int  # its summary's, with any later cells it built and relaxed in one pack
 
 
 def _sweep(generate, cells) -> list[SweepResult]:
@@ -33,13 +31,11 @@ def _sweep(generate, cells) -> list[SweepResult]:
     (one source per orbit), are checked before any graph is generated.
     """
     check_work((spec.orbit_count, spec.node_count, spec.edge_count) for _, spec in cells)
-    results, graphs = [], (generate(spec) for _, spec in cells)  # each built when first read
-    for (parameters, _), (graph, rows) in zip(cells, cell_rows((g, g.orbits) for g in graphs)):
-        start = time.perf_counter()
-        summary = summarize(graph, rows=rows)
-        elapsed_ms = max(0, int(round((time.perf_counter() - start) * 1000.0)))
-        results.append(SweepResult(parameters, summary, elapsed_ms))
-    return results
+    graphs = orbit_rows(generate(spec) for _, spec in cells)  # each built when first read
+    return [
+        SweepResult(parameters, summarize(graph, rows=rows))
+        for (parameters, _), (graph, rows) in zip(cells, graphs)
+    ]
 
 
 def sweep_rectilinear(sizes: Iterable[int]) -> list[SweepResult]:

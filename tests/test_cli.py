@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from straightnet import load_graph
-from straightnet.cli import MAX_CURVE_SAMPLES, MAX_RANGE_VALUES, _parse_range, main
+from straightnet import GridSpec, generate_rectilinear, load_graph, summarize
+from straightnet.analytic import MAX_CURVE_SAMPLES
+from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
 from straightnet.shortest_paths import cell_geodesics
 from straightnet.tables import read_table
 
@@ -169,6 +171,29 @@ class TestSweeps:
         header, rows = read_table(out)
         assert header == ["radii", "rings", "pair_count", "mean", "std_dev", "skipped"]
         assert [r["mean"] for r in rows] == ["1", "1"]
+
+    def test_repeated_size_gives_one_row_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "rect.csv"
+        assert run_cli("sweep-rect", "--sizes", "2,2", "--out", out) == 0
+        s = summarize(generate_rectilinear(GridSpec(2)))
+        line = f"size   2: mean {s.mean:.6f}  std {s.std_dev:.6f}  pairs {s.pair_count}"
+        assert capsys.readouterr().out.splitlines() == [line, line, f"-> {out}"]
+        _, rows = read_table(out)
+        cell = {"squares_per_side": "2", "pair_count": str(s.pair_count), "skipped": "0"}
+        cell.update(mean="%.9g" % s.mean, std_dev="%.9g" % s.std_dev)
+        assert rows == [cell, cell]
+
+    def test_sweep_stdout_is_deterministic(self, tmp_path, capsys):
+        out = tmp_path / "radial.csv"
+        printed = []
+        for _ in range(2):
+            assert run_cli("sweep-radial", "--radii", "3..4", "--rings", "1..2", "--out", out) == 0
+            printed.append(capsys.readouterr().out.encode())
+        assert printed[0] == printed[1]
+        *cells, last = printed[0].decode().splitlines()
+        assert last == f"-> {out}"
+        assert len(cells) == 4
+        assert all(re.fullmatch(r"radii +\d rings \d: .*  pairs \d+", line) for line in cells)
 
     def test_rect_size_guard(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

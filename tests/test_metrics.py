@@ -338,7 +338,7 @@ class TestRandomConnectedGraphs:
             PACK_ENTRIES=data.draw(limits, label="pack"),
             CHUNK_ENTRIES=data.draw(st.sampled_from([1, 13, 100]), label="chunk"),
         ):
-            got = [row.tobytes() for row in cell_geodesics(cells)]
+            got = [row.tobytes() for _, row in cell_geodesics(cells)]
         expected = [row.tobytes() for g, s in cells for row in oracles.dijkstra(g, s)]
         assert got == expected
 

@@ -146,11 +146,13 @@ class TestCells:
         packs, relax = [], shortest_paths._rows
 
         def recording(pack, width):
-            packs.append([(n, len(sources)) for _, n, sources in pack])
+            packs.append([(g.node_count, len(sources)) for g, _, sources in pack])
             return relax(pack, width)
 
         monkeypatch.setattr(shortest_paths, "_rows", recording)
-        rows = [row.tobytes() for row in cell_geodesics(cells)]
+        tagged = list(cell_geodesics(cells))
+        assert [g for g, _ in tagged] == [g for g, s in cells for _ in s]
+        rows = [row.tobytes() for _, row in tagged]
         expected = [row.tobytes() for g, s in cells for row in oracles.dijkstra(g, s)]
         assert rows == expected
         return packs
@@ -177,7 +179,7 @@ class TestCells:
         rows = cell_geodesics([(self.GRID, [0]), (self.GRID, [4, 8]), (self.GRID, [3, 9])])
         got = []
         with pytest.raises(ValueError, match=r"^source id 9 outside 0\.\.8$"):
-            for row in rows:
+            for _, row in rows:
                 got.append(row.tobytes())
         expected = [row.tobytes() for row in oracles.dijkstra(self.GRID, [0, 4, 8])]
         assert got == expected[: len(got)]  # rows of earlier cells only, in order

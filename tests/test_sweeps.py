@@ -11,7 +11,7 @@ from straightnet import (
     sweep_radial,
     sweep_rectilinear,
 )
-from straightnet import metrics, sweeps
+from straightnet import metrics, shortest_paths, sweeps
 from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION
 from straightnet.tables import read_table, write_sweep_csv
 
@@ -30,7 +30,6 @@ class TestRectSweep:
         result = sweep_rectilinear([1])[0]
         assert result.parameters == {"squares_per_side": 1}
         assert result.summary == summarize(generate_rectilinear(GridSpec(1)))
-        assert result.wall_time_ms >= 0
 
     def test_unit_square_mean(self):
         result = sweep_rectilinear([1])[0]
@@ -146,6 +145,30 @@ class TestPackedCells:
     def test_grid_cells_equal_direct_summaries(self):
         for size, result in zip(range(1, 31), sweep_rectilinear(range(1, 31))):
             assert result.summary == summarize(generate_rectilinear(GridSpec(size)))
+
+    @pytest.mark.parametrize("chunk_entries", [1, 13])
+    @pytest.mark.parametrize("pack_entries", [9, 40, 2**14])
+    def test_cells_split_across_packs(self, monkeypatch, pack_entries, chunk_entries):
+        # small limits put one cell's rows in several packs, and rows of
+        # several cells in one pack; each summary still sees only its own
+        radial = [RadialSpec(k, m, 2) for k in (3, 5) for m in (1, 2)]
+        expected = [summarize(generate_radioconcentric(spec)) for spec in radial]
+        expected += [summarize(generate_rectilinear(GridSpec(s))) for s in (1, 2, 3)]
+        monkeypatch.setattr(shortest_paths, "PACK_ENTRIES", pack_entries)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", chunk_entries)
+        results = sweep_radial([3, 5], [1, 2], 2) + sweep_rectilinear([1, 2, 3])
+        assert [r.summary for r in results] == expected
+
+    def test_repeated_parameters_give_one_result_per_cell(self):
+        # every cell builds its own graph, so equal neighbours are not merged
+        rect = sweep_rectilinear([2, 2, 1])
+        assert [r.parameters["squares_per_side"] for r in rect] == [2, 2, 1]
+        expected = [summarize(generate_rectilinear(GridSpec(s))) for s in (2, 2, 1)]
+        assert [r.summary for r in rect] == expected
+        radial = sweep_radial([3, 3], [1])
+        assert [r.parameters for r in radial] == [{"radii": 3, "rings": 1}] * 2
+        wheel = generate_radioconcentric(RadialSpec(3, 1, DEFAULT_SWEEP_SUBDIVISION))
+        assert [r.summary for r in radial] == [summarize(wheel)] * 2
 
     @pytest.mark.parametrize(
         "sweep, bound",
