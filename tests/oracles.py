@@ -9,16 +9,17 @@ with no path search at all.  ``two_pass_summary`` is the aggregate that
 keeps every row, which the one-pass fold of per-row moments must match.
 ``all_pairs`` and ``pair_straightness`` are the plain per-pair path the
 library's row kernel is checked against (its fields formatted by
-``format_angle``/``format_ratio``), and the ``loop_*`` builders are the
-node-by-node construction the array-built generators must reproduce bit
-for bit.  ``loop_graph`` is the per-element
-``NetworkGraph`` constructor (a dict of positions, a set of edges and a
-union-find) that the array constructor must match; its list adjacency is
-the arc layout that the geodesic kernel's arc arrays must match, and the
-arc lists ``dijkstra`` reads.  ``dijkstra`` is the one-source-at-a-time
-binary-heap search the vectorised kernel must equal bit for bit.  The
-``scalar_*`` closed forms are the one-direction-at-a-time ``math``
-evaluation the array closed forms must equal exactly, and the
+``format_angle``/``format_ratio``).  ``loop_pairs_csv`` is the pair-table
+writer with one ``%`` template per pair, whose bytes the array writer must
+reproduce.  The ``loop_*`` builders are the node-by-node construction the
+array-built generators must reproduce bit for bit.  ``loop_graph`` is the
+per-element ``NetworkGraph`` constructor (a dict of positions, a set of
+edges and a union-find) that the array constructor must match; its list
+adjacency is the arc layout that the geodesic kernel's arc arrays must
+match, and the arc lists ``dijkstra`` reads.  ``dijkstra`` is the
+one-source-at-a-time binary-heap search the vectorised kernel must equal
+bit for bit.  The ``scalar_*`` closed forms are the one-direction-at-a-time
+``math`` evaluation the array closed forms must equal exactly, and the
 ``loop_center_*`` checks the per-node center checks the row-kernel ones
 must agree with.  The scalar ``*_node_id`` one-liners state the
 generators' node-id layout independently of ``src/``, so the loop
@@ -28,6 +29,8 @@ builders and the tests index nodes through them.
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +172,17 @@ def format_angle(value):
 def format_ratio(value):
     """A table's straightness-like field, formatted one value at a time."""
     return f"{value:.9g}"
+
+
+def loop_pairs_csv(path, rows):
+    """Pass straightness rows on, writing each source's ``v > u`` pairs with one ``%`` each."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write("u,v,d_spatial,d_geodesic,straightness\n")
+        for row in rows:
+            u, _, *columns = row  # d_spatial, d_geodesic, straightness
+            pairs = zip(count(u + 1), *(c[u + 1 :].tolist() for c in columns))
+            fh.write("".join(map(f"{u},%d,%.12g,%.12g,%.9g\n".__mod__, pairs)))
+            yield row
 
 
 def enumerated_geodesic(graph, source, target):

@@ -20,6 +20,7 @@ from straightnet import (
     shortest_paths,
     straightness_rows,
     summarize,
+    tables,
 )
 from straightnet.model import graph_from_json, graph_to_json
 from straightnet.shortest_paths import cell_geodesics
@@ -424,10 +425,30 @@ class TestOnePassFold:
         assert peak < 48e6
 
 
-def dump_pairs(graph, path):
+def dump_pairs(graph, path, writer=write_pairs_csv):
     """The pair table the ``straightness --pairs-csv`` command writes."""
-    summary = summarize(graph, rows=write_pairs_csv(path, straightness_rows(graph)))
+    summary = summarize(graph, rows=writer(path, straightness_rows(graph)))
     return summary, path.read_bytes()
+
+
+def assert_dump_is_the_loop_dump(graph, directory):
+    """``write_pairs_csv`` writes the bytes of the one-``%``-per-pair writer."""
+    expected = dump_pairs(graph, directory / "loop.csv", oracles.loop_pairs_csv)
+    assert dump_pairs(graph, directory / "pairs.csv") == expected
+
+
+def jittered_street_graph(seed, side):
+    """A ``side`` x ``side`` unit lattice, each node moved by up to 0.3 on each
+    axis, with about a fifth of its edges dropped (so it may fall apart)."""
+    rng = np.random.default_rng(seed)
+    row, column = np.divmod(np.arange(side * side), side)
+    points = np.column_stack([column, row]) + rng.uniform(-0.3, 0.3, (side * side, 2))
+    ids = np.arange(side * side).reshape(side, side)
+    lattice = np.vstack([
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
+    ])
+    return NetworkGraph(points.tolist(), lattice[rng.random(len(lattice)) < 0.8].tolist())
 
 
 SMALL_GRAPHS = {
@@ -470,6 +491,7 @@ class TestPairDump:
                 assert float(straightness) == pytest.approx(expected_ratio, rel=1e-8)
             else:
                 assert straightness == "nan"
+        assert_dump_is_the_loop_dump(g, tmp_path)
 
     @pytest.mark.parametrize("size", [1, 4, 7])
     def test_symmetric_grid_dumps_like_its_json_round_trip(self, tmp_path, size):
@@ -489,6 +511,40 @@ class TestPairDump:
         g = graph_from_json(graph_to_json(generate_radioconcentric(RadialSpec(5, 2, 3))))
         summary, _ = dump_pairs(g, tmp_path / "pairs.csv")
         assert summary == summarize(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_graphs())
+    def test_random_graphs_dump_like_the_loop_writer(self, tmp_path_factory, case):
+        assert_dump_is_the_loop_dump(NetworkGraph(*case), tmp_path_factory.mktemp("dump"))
+
+    def test_street_graph_dumps_like_the_loop_writer(self, tmp_path):
+        assert_dump_is_the_loop_dump(jittered_street_graph(1, 31), tmp_path)
+
+    @pytest.mark.parametrize("factor", [1e-9, 1e12])
+    def test_scaled_graphs_dump_like_the_loop_writer(self, tmp_path, factor):
+        # 1e-9: every distance in exponent notation; 1e12: exponents and
+        # 12-digit integer parts, all written by the writer's fallback
+        assert_dump_is_the_loop_dump(scaled_copy(jittered_street_graph(2, 8), factor), tmp_path)
+
+    @pytest.mark.parametrize("chunk", [301, 300, 299, 1])
+    def test_dumps_across_chunks(self, monkeypatch, tmp_path, chunk):
+        graph = jittered_street_graph(3, 5)
+        assert graph.node_count * (graph.node_count - 1) // 2 == 300  # pairs
+        monkeypatch.setattr(tables, "CHUNK_PAIRS", chunk)
+        assert_dump_is_the_loop_dump(graph, tmp_path)
+
+    def test_dump_memory_stays_flat(self, tmp_path):
+        # 461,280 pairs.  Kept whole, the rows are 22 MB (3 float64 arrays of 961
+        # each per source) and the table text 16 MB; a chunk of 2**14
+        # pairs is about 1.5 MB of text and one geodesic chunk 1 MB.
+        graph = generic_copy(generate_rectilinear(GridSpec(30)))
+        tracemalloc.start()
+        try:
+            summarize(graph, rows=write_pairs_csv(tmp_path / "pairs.csv", straightness_rows(graph)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_strict_failure_never_opens_the_table(self, tmp_path):
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])

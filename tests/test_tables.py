@@ -1,8 +1,14 @@
-"""The table schemas: exact bytes of small tables and their plot defaults."""
+"""The table schemas: exact bytes of small tables, the pair table's number
+formatting, and the plot defaults."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from straightnet import sweep_radial, sweep_rectilinear
+from straightnet import sweep_radial, sweep_rectilinear, tables
 from straightnet.cli import main
 from straightnet.tables import (
     PAIRS_HEADER,
@@ -56,6 +62,48 @@ class TestExactBytes:
     )
     def test_table_bytes(self, tmp_path, table, expected):
         assert table(tmp_path).read_bytes() == expected
+
+
+def decimal_edges():
+    """Doubles where %g's digits are hardest to get from one rounded multiply:
+    nearest doubles to decimal ties at 9 and 12 digits, powers of ten, and
+    their neighbours either side; and the values that are never printed
+    from digits."""
+    ties = (123456788, 123456789, 123456789012, 123456789013)
+    centres = [(m + 0.5) * 10.0**j for m in ties for j in range(-16, 5)]
+    centres += [10.0**j for j in range(-6, 17)]
+    values = [5e-324, 1e-4, 9.99999999999e-05, 999999999999.5, -0.0, -1.5, math.inf, math.nan]
+    for c in centres:
+        values += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
+    return values
+
+
+def with_examples(values):
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return decorate
+
+
+def column_text(values, digits):
+    """A column of floats as the pair writer prints it, one per line."""
+    return tables._lines([tables._floats(np.array(values, dtype=float), digits)])
+
+
+class TestFloatColumns:
+    @given(st.floats())
+    @with_examples(decimal_edges())
+    def test_every_double_prints_as_percent_g(self, x):
+        for digits in (9, 12):
+            assert column_text([x], digits) == b"%.*g\n" % (digits, x)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    @example(decimal_edges())
+    def test_columns_print_as_percent_g(self, values):
+        for digits in (9, 12):
+            assert column_text(values, digits) == b"".join(b"%.*g\n" % (digits, x) for x in values)
 
 
 class TestPlotColumns:
