@@ -18,9 +18,9 @@ PACK_ENTRIES = 1 << 14
 
 
 def _arcs(graph: NetworkGraph) -> tuple[np.ndarray, ...]:
-    """``(first, degree, offset, length)``: arcs sorted by tail, in edge order.
+    """``(degree, offset, length)``: arcs sorted by tail, in edge order.
 
-    Node ``u``'s arcs are ``first[u]`` to ``first[u] + degree[u] - 1``;
+    Node ``u`` has ``degree[u]`` arcs, after those of nodes ``0..u-1``;
     arc ``a`` runs to node ``u + offset[a]`` along an edge of ``length[a]``.
     """
     edges = graph.edges
@@ -28,8 +28,7 @@ def _arcs(graph: NetworkGraph) -> tuple[np.ndarray, ...]:
     order = np.argsort(edges.ravel(), kind="stable")
     offset = (edges[:, ::-1] - edges).ravel()[order]
     degree = np.bincount(edges.ravel(), minlength=graph.node_count)
-    first = np.cumsum(degree) - degree
-    return first, degree, offset, np.repeat(graph.edge_lengths, 2)[order]
+    return degree, offset, np.repeat(graph.edge_lengths, 2)[order]
 
 
 def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarray]:
@@ -73,7 +72,7 @@ def cell_geodesics(cells: Iterable[tuple[NetworkGraph, Iterable[int]]]) -> Itera
 
 def _rows(pack: list[tuple], width: int) -> Iterator[tuple]:
     """``(graph, row)`` per source of each ``(graph, arcs, sources)`` chunk, ``width`` a row."""
-    arcs = zip(*(arcs[1:] for _, arcs, _ in pack))  # a lone graph's are not copied
+    arcs = zip(*(arcs for _, arcs, _ in pack))  # a lone graph's are not copied
     degree, offset, length = (a[0] if len(pack) == 1 else np.concatenate(a) for a in arcs)
     first = np.cumsum(degree) - degree
     counts, nodes = zip(*((len(sources), graph.node_count) for graph, _, sources in pack))

@@ -33,20 +33,35 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _line(x1, y1, x2, y2, stroke: str, width, extra: str = "") -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+        f'stroke-width="{width}"{extra}/>'
+    )
+
+
+def _text(x, y, size: int, text: str, anchor: str = "", extra: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+        f'font-family="sans-serif"{extra}>{_escape(text)}</text>'
+    )
+
+
 def render_svg(
-    series_list: Sequence[Series],
-    x_label: str,
-    y_label: str,
-    title: str = "",
+    series_list: Sequence[Series], x_label: str, y_label: str, title: str = ""
 ) -> str:
     """Render series as a fixed 800x500 chart with a reference line at y=1.
 
     Output is a pure function of the input: identical tables give byte
     identical SVG.  Single-point series are drawn as a marker instead of a
-    degenerate polyline.
+    degenerate polyline.  A point that is not finite raises ``ValueError``.
     """
     if not series_list or all(len(s.points) == 0 for s in series_list):
         raise ValueError("nothing to plot: no series with points")
+    for label, (x, y) in ((s.label, p) for s in series_list for p in s.points):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"series {label!r}: point ({x}, {y}) is not finite")
 
     xs = [x for s in series_list for x, _ in s.points]
     ys = [y for s in series_list for _, y in s.points]
@@ -71,57 +86,31 @@ def render_svg(
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="16" font-family="sans-serif">{_escape(title)}</text>'
-        )
+        out.append(_text(f"{WIDTH / 2:.1f}", 24, 16, title, "middle"))
 
     # Horizontal grid with y tick labels.
     for i in range(6):
         y_val = y_min + (y_max - y_min) * i / 5
         _, py = to_px(x_min, y_val)
-        out.append(
-            f'<line x1="{plot_left}" y1="{py:.2f}" x2="{plot_right}" y2="{py:.2f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{plot_left - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">{y_val:.2f}</text>'
-        )
+        out.append(_line(plot_left, f"{py:.2f}", plot_right, f"{py:.2f}", "#dddddd", 1))
+        out.append(_text(plot_left - 8, f"{py + 4:.2f}", 12, f"{y_val:.2f}", "end"))
 
     # x ticks.
     for i in range(6):
         x_val = x_min + (x_max - x_min) * i / 5
         px, _ = to_px(x_val, y_min)
-        out.append(
-            f'<line x1="{px:.2f}" y1="{plot_bottom}" x2="{px:.2f}" '
-            f'y2="{plot_bottom + 5}" stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{px:.2f}" y="{plot_bottom + 20}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{x_val:.3g}</text>'
-        )
+        out.append(_line(f"{px:.2f}", plot_bottom, f"{px:.2f}", plot_bottom + 5, "#000000", 1))
+        out.append(_text(f"{px:.2f}", plot_bottom + 20, 12, f"{x_val:.3g}", "middle"))
 
     # Axes.
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_bottom}" x2="{plot_right}" '
-        f'y2="{plot_bottom}" stroke="#000000" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_top}" x2="{plot_left}" '
-        f'y2="{plot_bottom}" stroke="#000000" stroke-width="1.5"/>'
-    )
+    out.append(_line(plot_left, plot_bottom, plot_right, plot_bottom, "#000000", 1.5))
+    out.append(_line(plot_left, plot_top, plot_left, plot_bottom, "#000000", 1.5))
 
     # Optimum reference: dashed horizontal line at straightness 1.
-    _, ref_py = to_px(x_min, 1.0)
-    out.append(
-        f'<line x1="{plot_left}" y1="{ref_py:.2f}" x2="{plot_right}" '
-        f'y2="{ref_py:.2f}" stroke="#000000" stroke-width="1" '
-        'stroke-dasharray="6 4"/>'
-    )
+    ref = f"{to_px(x_min, 1.0)[1]:.2f}"
+    out.append(_line(plot_left, ref, plot_right, ref, "#000000", 1, ' stroke-dasharray="6 4"'))
 
-    legend_x = plot_right + 14
-    legend_y = plot_top + 10
+    legend_x, legend_y = plot_right + 14, plot_top + 10
     for idx, series in enumerate(series_list):
         color = PALETTE[idx % len(PALETTE)]
         pixels = [to_px(x, y) for x, y in series.points]
@@ -135,26 +124,12 @@ def render_svg(
                 f'points="{joined}"/>'
             )
         ly = legend_y + idx * 20
-        out.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="3"/>'
-        )
-        out.append(
-            f'<text x="{legend_x + 28}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{_escape(series.label)}</text>'
-        )
+        out.append(_line(legend_x, ly, legend_x + 22, ly, color, 3))
+        out.append(_text(legend_x + 28, ly + 4, 12, series.label))
 
-    out.append(
-        f'<text x="{(plot_left + plot_right) / 2:.1f}" y="{HEIGHT - 16}" '
-        f'text-anchor="middle" font-size="13" font-family="sans-serif">'
-        f"{_escape(x_label)}</text>"
-    )
-    out.append(
-        f'<text x="20" y="{(plot_top + plot_bottom) / 2:.1f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif" '
-        f'transform="rotate(-90 20 {(plot_top + plot_bottom) / 2:.1f})">'
-        f"{_escape(y_label)}</text>"
-    )
+    out.append(_text(f"{(plot_left + plot_right) / 2:.1f}", HEIGHT - 16, 13, x_label, "middle"))
+    mid = f"{(plot_top + plot_bottom) / 2:.1f}"
+    out.append(_text(20, mid, 13, y_label, "middle", f' transform="rotate(-90 20 {mid})"'))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -18,7 +18,7 @@ DEFAULT_SWEEP_SUBDIVISION = 4
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One sweep cell: generator parameters and aggregate (packed cells have no own time)."""
+    """One sweep cell: generator parameters and aggregate."""
 
     parameters: dict[str, int]
     summary: StraightnessSummary

@@ -304,7 +304,8 @@ def loop_graph(nodes, edges, symmetries=()):
 
 def kernel_adjacency(graph):
     """The geodesic kernel's arc arrays as per-node ``(head, length)`` tuples."""
-    first, degree, offset, length = shortest_paths._arcs(graph)
+    degree, offset, length = shortest_paths._arcs(graph)
+    first = np.cumsum(degree) - degree
     tails = np.repeat(np.arange(graph.node_count), degree)
     arcs = list(zip((tails + offset).tolist(), length.tolist()))
     return tuple(tuple(arcs[f : f + d]) for f, d in zip(first.tolist(), degree.tolist()))
