@@ -10,8 +10,8 @@ plot with one curve per ring count.
 from pathlib import Path
 
 from straightnet import render_svg, sweep_radial
-from straightnet.svgplot import series_from_table, write_svg
-from straightnet.tables import read_table, write_sweep_csv
+from straightnet.svgplot import write_svg
+from straightnet.tables import plot_series, write_sweep_csv
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -28,7 +28,6 @@ for rings in range(1, 6):
     crossover = next((k for k in range(3, 21) if table[(k, rings)] > 0.80), None)
     print(f"{rings:>5}  {crossover}")
 
-header, rows = read_table(csv_path)
-series = series_from_table(header, rows, "radii", "mean", ["rings"])
+_, _, series = plot_series(csv_path, "radii", "mean", ["rings"])
 write_svg(OUT / "radial_sweep.svg", render_svg(series, "number of radii", "straightness"))
 print(f"wrote {csv_path} and {OUT / 'radial_sweep.svg'}")

@@ -20,15 +20,9 @@ from .generators import (
 )
 from .metrics import straightness_rows, summarize
 from .model import load_graph, save_graph
-from .svgplot import Series, render_svg, series_from_table, write_svg
+from .svgplot import Series, render_svg, write_svg
 from .sweeps import DEFAULT_SWEEP_SUBDIVISION, sweep_radial, sweep_rectilinear
-from .tables import (
-    plot_columns,
-    read_table,
-    write_curve_csv,
-    write_pairs_csv,
-    write_sweep_csv,
-)
+from .tables import plot_series, write_curve_csv, write_pairs_csv, write_sweep_csv
 from .validation import run_all_checks
 
 EXIT_OK = 0
@@ -184,22 +178,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    header, rows = read_table(args.table)
-    if not rows:
-        raise ValueError(f"{args.table}: no data rows")
-    x_col, y_col, series_cols = args.x, args.y, args.series
-    if x_col is None:
-        if (defaults := plot_columns(header)) is None:
-            raise ValueError(
-                "cannot infer plot columns; pass --x/--y (and optionally --series)"
-            )
-        x_col, y_default, series_default = defaults
-        y_col = y_col or y_default
-        series_cols = series_cols if series_cols is not None else series_default
-    if y_col is None:
-        raise ValueError("missing --y column")
-    series = series_from_table(header, rows, x_col, y_col, series_cols or [])
-    write_svg(args.out, render_svg(series, x_col, y_col, title=args.title))
+    x, y, series = plot_series(args.table, args.x, args.y, args.series)
+    write_svg(args.out, render_svg(series, x, y, title=args.title))
     print(f"{len(series)} series -> {args.out}")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line charts for curve and sweep tables."""
+"""Minimal dependency-free SVG line charts of point series."""
 
 from __future__ import annotations
 
@@ -53,9 +53,11 @@ def render_svg(
 ) -> str:
     """Render series as a fixed 800x500 chart with a reference line at y=1.
 
-    Output is a pure function of the input: identical tables give byte
+    Output is a pure function of the input: identical series give byte
     identical SVG.  Single-point series are drawn as a marker instead of a
-    degenerate polyline.  A point that is not finite raises ``ValueError``.
+    degenerate polyline.  A point that is not finite, an axis whose span
+    overflows a float, or x values too close for six distinct ticks raise
+    ``ValueError``.
     """
     if not series_list or all(len(s.points) == 0 for s in series_list):
         raise ValueError("nothing to plot: no series with points")
@@ -66,11 +68,20 @@ def render_svg(
     xs = [x for s in series_list for x, _ in s.points]
     ys = [y for s in series_list for _, y in s.points]
     x_min, x_max = min(xs), max(xs)
-    if x_min == x_max:
-        x_min, x_max = x_min - 0.5, x_max + 0.5
-    # Straightness-style axis: always include the optimum line y=1.
+    if x_min == x_max:  # widened by enough to tell the ends apart at any magnitude
+        pad = max(0.5, 1e-9 * abs(x_min))
+        x_min, x_max = x_min - pad, x_max + pad
+    # Straightness-style axis: always include 0 and the optimum line y=1.
     y_max = 1.05 * max(1.0, max(ys))
-    y_min = 0.0
+    y_min = min(0.0, min(ys))
+    for axis, values, low, high in (("x", xs, x_min, x_max), ("y", ys, y_min, y_max)):
+        if not math.isfinite((high - low) * 5):  # the ticks' (high - low) * i / 5
+            raise ValueError(f"{axis} axis for values {min(values)} to {max(values)} overflows")
+    x_ticks = [x_min + (x_max - x_min) * i / 5 for i in range(6)]
+    if len(set(x_ticks)) < 6:
+        raise ValueError(f"x values from {min(xs)} to {max(xs)} are too close for six ticks")
+    # The fewest significant digits, at least 3, that tell the x tick labels apart.
+    digits = next(d for d in range(3, 18) if len({f"{t:.{d}g}" for t in x_ticks}) == 6)
 
     plot_left, plot_right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     plot_top, plot_bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
@@ -96,11 +107,10 @@ def render_svg(
         out.append(_text(plot_left - 8, f"{py + 4:.2f}", 12, f"{y_val:.2f}", "end"))
 
     # x ticks.
-    for i in range(6):
-        x_val = x_min + (x_max - x_min) * i / 5
+    for x_val in x_ticks:
         px, _ = to_px(x_val, y_min)
         out.append(_line(f"{px:.2f}", plot_bottom, f"{px:.2f}", plot_bottom + 5, "#000000", 1))
-        out.append(_text(f"{px:.2f}", plot_bottom + 20, 12, f"{x_val:.3g}", "middle"))
+        out.append(_text(f"{px:.2f}", plot_bottom + 20, 12, f"{x_val:.{digits}g}", "middle"))
 
     # Axes.
     out.append(_line(plot_left, plot_bottom, plot_right, plot_bottom, "#000000", 1.5))
@@ -132,33 +142,6 @@ def render_svg(
     out.append(_text(20, mid, 13, y_label, "middle", f' transform="rotate(-90 20 {mid})"'))
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def series_from_table(
-    header: list[str],
-    rows: list[dict[str, str]],
-    x_column: str,
-    y_column: str,
-    series_columns: Sequence[str] = (),
-) -> list[Series]:
-    """Group table rows into plottable series.
-
-    Series are keyed by the joined values of ``series_columns`` (a single
-    unnamed series when empty) and appear in first-seen row order.
-    """
-    for column in (x_column, y_column, *series_columns):
-        if column not in header:
-            raise ValueError(f"column {column!r} not in table header {header}")
-    grouped: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        if series_columns:
-            label = " ".join(f"{col}={row[col]}" for col in series_columns)
-        else:
-            label = y_column
-        x, y = float(row[x_column]), float(row[y_column])
-        if math.isfinite(x) and math.isfinite(y):  # pair dumps may carry nan/inf
-            grouped.setdefault(label, []).append((x, y))
-    return [Series(label, tuple(points)) for label, points in grouped.items()]
 
 
 def write_svg(path, svg_text: str) -> None:

@@ -1,4 +1,4 @@
-"""CSV tables: their schemas, writers and plot defaults, and one reader.
+"""CSV tables: their schemas, writers, one reader and the series ``plot`` draws.
 
 Curves, sweep cells and node pairs each have one table.  Angles and
 distances have 12 significant digits, straightness-like values 9 (enough
@@ -13,10 +13,13 @@ falls back to ``%`` one value at a time where that could differ.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .svgplot import Series
 
 CURVE_HEADER = ["alpha", "straightness", "network", "k"]
 # A sweep table has its parameter columns, then these summary columns.
@@ -75,20 +78,6 @@ def write_sweep_csv(path, results: Sequence) -> None:
             s = r.summary
             values = (s.pair_count, s.mean, s.std_dev, s.skipped_pairs)
             fh.write(template % (*r.parameters.values(), *values))
-
-
-def plot_columns(header: list[str]) -> tuple[str, str, list[str]] | None:
-    """Default ``(x, y, series)`` plot columns of a curve or sweep table, else None.
-
-    A sweep table plots its mean over the first parameter, one series per
-    value of the others.
-    """
-    if CURVE_HEADER[0] in header:
-        return CURVE_HEADER[0], CURVE_HEADER[1], CURVE_HEADER[2:]
-    split = len(header) - len(SWEEP_SUMMARY_HEADER)
-    if split > 0 and header[split:] == SWEEP_SUMMARY_HEADER:
-        return header[0], "mean", header[1:split]
-    return None
 
 
 def write_pairs_csv(path, rows: Iterable[tuple]) -> Iterator[tuple]:
@@ -200,3 +189,48 @@ def read_table(path) -> tuple[list[str], list[dict[str, str]]]:
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
         return header, rows
+
+
+def plot_series(path, x=None, y=None, series=None) -> tuple[str, str, list[Series]]:
+    """The ``(x, y, series)`` that ``plot`` draws from the table at ``path``.
+
+    Without ``x``, a curve table plots straightness over alpha, one series
+    per network and k, and a sweep table its mean over the first parameter,
+    one series per value of the others; a given ``y`` or ``series`` still
+    wins.  Series are labelled ``col=value ...`` (``y`` without series
+    columns) in first-seen row order.  Rows whose x or y is not finite, as
+    in a pair table, are left out.
+    """
+    header, rows = read_table(path)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if x is None:
+        split = len(header) - len(SWEEP_SUMMARY_HEADER)
+        if CURVE_HEADER[0] in header:
+            x, default_y, default_series = CURVE_HEADER[0], CURVE_HEADER[1], CURVE_HEADER[2:]
+        elif split > 0 and header[split:] == SWEEP_SUMMARY_HEADER:
+            x, default_y, default_series = header[0], "mean", header[1:split]
+        else:
+            raise ValueError("cannot infer plot columns; pass --x/--y (and optionally --series)")
+        y = y or default_y
+        series = default_series if series is None else series
+    if y is None:
+        raise ValueError("missing --y column")
+    series = series or []
+    for column in (x, y, *series):
+        if column not in header:
+            raise ValueError(f"column {column!r} not in table header {header}")
+    grouped: dict[str, list[tuple[float, float]]] = {}
+    for row in rows:
+        point = _number(path, x, row[x]), _number(path, y, row[y])
+        if math.isfinite(point[0]) and math.isfinite(point[1]):
+            label = " ".join(f"{column}={row[column]}" for column in series) or y
+            grouped.setdefault(label, []).append(point)
+    return x, y, [Series(label, tuple(points)) for label, points in grouped.items()]
+
+
+def _number(path, column: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}: column {column!r} holds {text!r}, not a number") from None

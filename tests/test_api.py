@@ -29,8 +29,9 @@ PUBLIC_NAMES = [
 MODULE_NAMES = {
     "analytic": ["canonicalize", "mesh_oracle_radial", "sector_angle"],
     "model": ["graph_from_json", "graph_to_json"],
-    "svgplot": ["series_from_table"],
+    "svgplot": ["write_svg"],
     "sweeps": ["DEFAULT_SWEEP_SUBDIVISION"],
+    "tables": ["plot_series", "read_table"],
     "validation": ["CheckResult", "center_curve_check", "center_radial_check"],
 }
 

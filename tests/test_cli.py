@@ -547,6 +547,28 @@ class TestPlot:
         assert err == f"straightnet: {table}: line 3 has {fields} fields, the header 4\n"
         assert not (tmp_path / "r.svg").exists()
 
+    @pytest.mark.parametrize(
+        "text, columns, message",
+        [
+            ("alpha,straightness,network,k\n", ("--x", "a"), "{table}: no data rows"),
+            (
+                "a,b\n1,2\n",
+                ("--y", "b"),
+                "cannot infer plot columns; pass --x/--y (and optionally --series)",
+            ),
+            ("a,b\n1,2\n", ("--x", "a", "--series", "c"), "missing --y column"),
+            ("a,b\n1,2\n", ("--x", "a", "--y", "c"), "column 'c' not in table header ['a', 'b']"),
+            ("a,b\n1,x\n", ("--x", "a", "--y", "b"), "{table}: column 'b' holds 'x', not a number"),
+        ],
+        ids=["no-rows", "no-defaults", "no-y", "unknown-column", "not-a-number"],
+    )
+    def test_refusal_is_one_line(self, tmp_path, capsys, text, columns, message):
+        table = tmp_path / "t.csv"
+        table.write_text(text, encoding="utf-8")
+        assert run_cli("plot", table, "--out", tmp_path / "t.svg", *columns) == 1
+        assert capsys.readouterr().err == f"straightnet: {message.format(table=table)}\n"
+        assert not (tmp_path / "t.svg").exists()
+
     def test_overlong_field_is_one_line_usage_error(self, tmp_path, capsys):
         table = tmp_path / "big.csv"
         field = "9" * 200_000  # past the csv module's default field limit

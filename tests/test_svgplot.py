@@ -4,10 +4,21 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from straightnet import Series, analytic_curve, render_svg
 from straightnet.cli import main
-from straightnet.svgplot import series_from_table, write_svg
+from straightnet.svgplot import (
+    HEIGHT,
+    MARGIN_BOTTOM,
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MARGIN_TOP,
+    WIDTH,
+    write_svg,
+)
+from straightnet.tables import plot_series
 
 
 def curve_series(count=5):
@@ -81,41 +92,106 @@ class TestRenderSvg:
         assert content.endswith("</svg>\n")
 
 
+X_TICK_LABEL = re.compile(
+    f'<text x="[^"]*" y="{HEIGHT - MARGIN_BOTTOM + 20}" text-anchor="middle" '
+    'font-size="12" font-family="sans-serif">([^<]*)</text>'
+)
+
+
+def drawn_points(svg):
+    """The pixel position of every polyline vertex and marker."""
+    vertices = " ".join(re.findall(r'points="([^"]*)"', svg)).split()
+    points = [tuple(map(float, v.split(","))) for v in vertices]
+    return points + [tuple(map(float, c)) for c in re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg)]
+
+
+def in_frame(point):
+    px, py = point
+    return MARGIN_LEFT <= px <= WIDTH - MARGIN_RIGHT and MARGIN_TOP <= py <= HEIGHT - MARGIN_BOTTOM
+
+
+@st.composite
+def finite_charts(draw):
+    """1-3 series of 1-10 points with |v| <= 1e300; some with one x, some with every y < 0."""
+    finite = st.floats(-1e300, 1e300)
+    xs = st.just(draw(finite)) if draw(st.booleans()) else finite
+    ys = st.floats(-1e300, 0.0, exclude_max=True) if draw(st.booleans()) else finite
+    points = st.lists(st.tuples(xs, ys), min_size=1, max_size=10)
+    drawn = draw(st.lists(points, min_size=1, max_size=3))
+    return [Series(f"s{i}", tuple(p)) for i, p in enumerate(drawn)]
+
+
+class TestAxesFitTheData:
+    def test_negative_y_is_drawn_inside_the_frame(self):
+        svg = render_svg([Series("s", ((0.0, -5.0), (1.0, 0.5), (2.0, 0.9)))], "x", "y")
+        assert all(in_frame(p) for p in drawn_points(svg))
+        assert ">-5.00</text>" in svg  # the lowest y tick
+
+    @pytest.mark.parametrize("x", [1e17, -1e17, 2.0**53, 1e300])
+    def test_constant_x_of_any_magnitude_is_widened(self, x):
+        svg = render_svg([Series("s", ((x, 0.5), (x, 0.9)))], "x", "y")
+        assert len(set(X_TICK_LABEL.findall(svg))) == 6
+        assert drawn_points(svg) == [(355.0, 249.52), (355.0, 97.14)]  # the middle
+
+    def test_y_near_the_float_maximum_is_refused(self):
+        message = "y axis for values 0.5 to 1.7e+308 overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_svg([Series("s", ((0.0, 0.5), (1.0, 1.7e308)))], "x", "y")
+
+    def test_close_x_ticks_get_the_digits_that_tell_them_apart(self):
+        svg = render_svg([Series("s", ((1000.0, 0.5), (1001.0, 0.9)))], "x", "y")
+        labels = ["1000", "1000.2", "1000.4", "1000.6", "1000.8", "1001"]
+        assert X_TICK_LABEL.findall(svg) == labels
+
+    def test_x_too_close_for_six_ticks_is_refused(self):
+        with pytest.raises(ValueError, match="too close for six ticks"):
+            render_svg([Series("s", ((0.0, 0.5), (5e-324, 0.9)))], "x", "y")
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_charts())
+    def test_any_finite_chart_fits_or_is_refused(self, series):
+        try:
+            svg = render_svg(series, "x", "y")
+        except ValueError:
+            return
+        assert "nan" not in svg and "inf" not in svg
+        assert len(set(X_TICK_LABEL.findall(svg))) == 6
+        assert all(in_frame(p) for p in drawn_points(svg))
+
+
 class TestSeriesFromTable:
+    """``tables.plot_series`` groups the rows of a table into series."""
+
     HEADER = ["alpha", "straightness", "network", "k"]
 
-    def rows(self):
-        out = []
+    def table(self, tmp_path):
+        lines = [",".join(self.HEADER)]
         for k in (3, 4):
             for i in range(3):
-                out.append(
-                    {
-                        "alpha": str(i * 0.1),
-                        "straightness": str(1.0 - 0.05 * i),
-                        "network": "radial",
-                        "k": str(k),
-                    }
-                )
-        return out
+                lines.append(f"{i * 0.1},{1.0 - 0.05 * i},radial,{k}")
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
 
-    def test_grouping(self):
-        series = series_from_table(
-            self.HEADER, self.rows(), "alpha", "straightness", ["network", "k"]
+    def test_grouping(self, tmp_path):
+        _, _, series = plot_series(
+            self.table(tmp_path), "alpha", "straightness", ["network", "k"]
         )
         assert [s.label for s in series] == ["network=radial k=3", "network=radial k=4"]
         assert all(len(s.points) == 3 for s in series)
 
-    def test_single_series_when_no_group_columns(self):
-        series = series_from_table(self.HEADER, self.rows(), "alpha", "straightness")
+    def test_single_series_when_no_group_columns(self, tmp_path):
+        _, _, series = plot_series(self.table(tmp_path), "alpha", "straightness")
         assert len(series) == 1
         assert len(series[0].points) == 6
+        assert series[0].label == "straightness"
 
-    def test_unknown_column_rejected(self):
+    def test_unknown_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not in table"):
-            series_from_table(self.HEADER, self.rows(), "angle", "straightness")
+            plot_series(self.table(tmp_path), "angle", "straightness")
 
-    def test_points_parse_as_floats(self):
-        series = series_from_table(self.HEADER, self.rows(), "alpha", "straightness", ["k"])
+    def test_points_parse_as_floats(self, tmp_path):
+        _, _, series = plot_series(self.table(tmp_path), "alpha", "straightness", ["k"])
         x, y = series[0].points[1]
         assert x == pytest.approx(0.1)
         assert y == pytest.approx(0.95)

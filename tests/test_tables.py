@@ -13,8 +13,7 @@ from straightnet.cli import main
 from straightnet.tables import (
     PAIRS_HEADER,
     SWEEP_SUMMARY_HEADER,
-    plot_columns,
-    read_table,
+    plot_series,
     write_sweep_csv,
 )
 
@@ -107,22 +106,45 @@ class TestFloatColumns:
 
 
 class TestPlotColumns:
+    """The columns ``tables.plot_series`` plots when no x column is given."""
+
+    @staticmethod
+    def plotted(path, **columns):
+        x, y, series = plot_series(path, **columns)
+        return x, y, [s.label for s in series]
+
     def test_curve_table(self, tmp_path):
-        header, _ = read_table(curve_table(tmp_path))
-        assert plot_columns(header) == ("alpha", "straightness", ["network", "k"])
+        labels = ["network=rectilinear k=4"]
+        assert self.plotted(curve_table(tmp_path)) == ("alpha", "straightness", labels)
 
     def test_rect_sweep_table(self, tmp_path):
-        header, _ = read_table(rect_sweep_table(tmp_path))
-        assert plot_columns(header) == ("squares_per_side", "mean", [])
+        assert self.plotted(rect_sweep_table(tmp_path)) == ("squares_per_side", "mean", ["mean"])
 
     def test_radial_sweep_table(self, tmp_path):
-        header, _ = read_table(radial_sweep_table(tmp_path))
-        assert plot_columns(header) == ("radii", "mean", ["rings"])
+        assert self.plotted(radial_sweep_table(tmp_path)) == ("radii", "mean", ["rings=1"])
+
+    @pytest.mark.parametrize(
+        "columns, expected",
+        [
+            ({"y": "std_dev"}, ("radii", "std_dev", ["rings=1"])),
+            ({"series": []}, ("radii", "mean", ["mean"])),
+            ({"y": "pair_count", "series": ["skipped"]}, ("radii", "pair_count", ["skipped=0"])),
+        ],
+        ids=["y", "no-series", "both"],
+    )
+    def test_given_y_or_series_override_the_defaults(self, tmp_path, columns, expected):
+        assert self.plotted(radial_sweep_table(tmp_path), **columns) == expected
 
     @pytest.mark.parametrize(
         "header",
         [PAIRS_HEADER, ["a", "b"], SWEEP_SUMMARY_HEADER, SWEEP_SUMMARY_HEADER[1:], []],
         ids=["pairs", "unknown", "summary-only", "short", "empty"],
     )
-    def test_other_tables_have_none(self, header):
-        assert plot_columns(header) is None
+    def test_other_tables_have_none(self, tmp_path, header):
+        path = tmp_path / "t.csv"
+        text = ",".join(header) + "\n" + ",".join("1" * len(header)) + "\n"
+        path.write_text(text, encoding="utf-8")
+        # an empty header holds no data row, so it is refused before the defaults
+        message = "cannot infer plot columns" if header else "no data rows"
+        with pytest.raises(ValueError, match=message):
+            plot_series(path)
