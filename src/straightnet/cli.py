@@ -32,7 +32,7 @@ EXIT_IO = 3
 
 DEFAULT_CURVE_RADII = (3, 4, 8, 16)
 
-# Most values a range expression may select; checked before any is built.
+# Most values a range expression, or cells a radial sweep, may select; checked first.
 MAX_RANGE_VALUES = 10_000
 
 
@@ -135,6 +135,8 @@ def _cmd_sweep_rect(args) -> int:
 
 
 def _cmd_sweep_radial(args) -> int:
+    if (cells := len(args.radii) * len(args.rings)) > MAX_RANGE_VALUES:  # before any spec
+        raise ValueError(f"--radii x --rings selects {cells} cells, more than {MAX_RANGE_VALUES}")
     results = sweep_radial(args.radii, args.rings, subdivision=args.subdivide)
     return _report_sweep(results, args.out, "radii {radii:>3} rings {rings}")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import numpy as np
 RIGID_TOLERANCE = 1e-9
 
 
+# eq=False: metrics.orbit_rows groups by graph with itertools.groupby, and == on arrays raises
+@dataclass(frozen=True, slots=True, eq=False)
 class NetworkGraph:
     """Immutable undirected geometric graph.
 
@@ -36,6 +39,18 @@ class NetworkGraph:
         network distance.  The nodes split into the orbits of the group
         they generate; see :attr:`orbits`.
 
+    Attributes
+    ----------
+    positions, edges : ndarray
+        Read-only ``(N, 2)`` node positions and ``(E, 2)`` edges, each row ``u < v``.
+    edge_lengths : ndarray
+        Read-only Euclidean length of each edge, derived from positions.
+    symmetries : tuple of ndarray
+        Read-only node permutations generating the graph's symmetry group.
+    orbits : tuple of (int, int)
+        ``(representative, size)`` per orbit of that group: the lowest node id,
+        in increasing order; sizes sum to N, and no symmetries give N orbits of 1.
+
     Raises
     ------
     ValueError
@@ -45,7 +60,11 @@ class NetworkGraph:
         rigid motion of the positions.
     """
 
-    __slots__ = ("_positions", "_edges", "_lengths", "_symmetries", "_orbits")
+    positions: np.ndarray
+    edges: np.ndarray
+    edge_lengths: np.ndarray
+    symmetries: tuple[np.ndarray, ...]
+    orbits: tuple[tuple[int, int], ...]
 
     def __init__(self, nodes, edges, symmetries=()) -> None:
         # copy so freezing the array never affects a caller-owned buffer
@@ -97,54 +116,20 @@ class NetworkGraph:
             arr.setflags(write=False)
         ids = np.arange(n)
         orbits = _classes(n, np.tile(ids, len(perms)), np.concatenate([ids[:0], *perms]))
-        fields = (positions, edge_arr, lengths, perms, orbits)
-        for name, value in zip(self.__slots__, fields):
+        for name, value in zip(self.__slots__, (positions, edge_arr, lengths, perms, orbits)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NetworkGraph is immutable")
 
     @property
     def node_count(self) -> int:
-        return len(self._positions)
+        return len(self.positions)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Read-only ``(N, 2)`` array of node positions."""
-        return self._positions
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Read-only ``(E, 2)`` array of edges, each row sorted ``u < v``."""
-        return self._edges
-
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        """Euclidean length of each edge, derived from positions."""
-        return self._lengths
-
-    @property
-    def symmetries(self) -> tuple[np.ndarray, ...]:
-        """Read-only node permutations generating the graph's symmetry group."""
-        return self._symmetries
-
-    @property
-    def orbits(self) -> tuple[tuple[int, int], ...]:
-        """``(representative, size)`` per orbit of the symmetry group.
-
-        The representative is the orbit's lowest node id; orbits come in
-        increasing representative order and their sizes sum to N.  Without
-        symmetries every node is its own orbit of size 1.
-        """
-        return self._orbits
+        return len(self.edges)
 
     def components(self) -> tuple[tuple[int, int], ...]:
         """``(lowest id, size)`` per connected component, like :attr:`orbits`."""
-        return _classes(self.node_count, *self._edges.T)
+        return _classes(self.node_count, *self.edges.T)
 
     def __repr__(self) -> str:
         return f"NetworkGraph(nodes={self.node_count}, edges={self.edge_count})"

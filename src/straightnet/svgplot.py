@@ -21,6 +21,7 @@ PALETTE = [
     "#8c564b",  # brown
     "#7f7f7f",  # gray
 ]
+LEGEND_ROWS = 23  # 20-px legend rows from y = 50 that fit the canvas
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,12 @@ def _text(x, y, size: int, text: str, anchor: str = "", extra: str = "") -> str:
     )
 
 
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Distinct ``ticks`` with the fewest significant digits, at least 3, that tell them apart."""
+    digits = next(d for d in range(3, 18) if len({f"{t:.{d}g}" for t in ticks}) == len(ticks))
+    return [f"{t:.{digits}g}" for t in ticks]
+
+
 def render_svg(
     series_list: Sequence[Series], x_label: str, y_label: str, title: str = ""
 ) -> str:
@@ -57,7 +64,7 @@ def render_svg(
     identical SVG.  Single-point series are drawn as a marker instead of a
     degenerate polyline.  A point that is not finite, an axis whose span
     overflows a float, or x values too close for six distinct ticks raise
-    ``ValueError``.
+    ``ValueError``.  Past 23 series the legend's last row reads ``+N more``.
     """
     if not series_list or all(len(s.points) == 0 for s in series_list):
         raise ValueError("nothing to plot: no series with points")
@@ -80,8 +87,10 @@ def render_svg(
     x_ticks = [x_min + (x_max - x_min) * i / 5 for i in range(6)]
     if len(set(x_ticks)) < 6:
         raise ValueError(f"x values from {min(xs)} to {max(xs)} are too close for six ticks")
-    # The fewest significant digits, at least 3, that tell the x tick labels apart.
-    digits = next(d for d in range(3, 18) if len({f"{t:.{d}g}" for t in x_ticks}) == 6)
+    y_ticks = [y_min + (y_max - y_min) * i / 5 for i in range(6)]
+    y_labels = [f"{t:.2f}" for t in y_ticks]
+    if max(map(len, y_labels)) > 8:  # wider than the left margin holds
+        y_labels = _tick_labels(y_ticks)
 
     plot_left, plot_right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     plot_top, plot_bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
@@ -100,17 +109,16 @@ def render_svg(
         out.append(_text(f"{WIDTH / 2:.1f}", 24, 16, title, "middle"))
 
     # Horizontal grid with y tick labels.
-    for i in range(6):
-        y_val = y_min + (y_max - y_min) * i / 5
+    for y_val, label in zip(y_ticks, y_labels):
         _, py = to_px(x_min, y_val)
         out.append(_line(plot_left, f"{py:.2f}", plot_right, f"{py:.2f}", "#dddddd", 1))
-        out.append(_text(plot_left - 8, f"{py + 4:.2f}", 12, f"{y_val:.2f}", "end"))
+        out.append(_text(plot_left - 8, f"{py + 4:.2f}", 12, label, "end"))
 
     # x ticks.
-    for x_val in x_ticks:
+    for x_val, label in zip(x_ticks, _tick_labels(x_ticks)):
         px, _ = to_px(x_val, y_min)
         out.append(_line(f"{px:.2f}", plot_bottom, f"{px:.2f}", plot_bottom + 5, "#000000", 1))
-        out.append(_text(f"{px:.2f}", plot_bottom + 20, 12, f"{x_val:.{digits}g}", "middle"))
+        out.append(_text(f"{px:.2f}", plot_bottom + 20, 12, label, "middle"))
 
     # Axes.
     out.append(_line(plot_left, plot_bottom, plot_right, plot_bottom, "#000000", 1.5))
@@ -134,8 +142,11 @@ def render_svg(
                 f'points="{joined}"/>'
             )
         ly = legend_y + idx * 20
-        out.append(_line(legend_x, ly, legend_x + 22, ly, color, 3))
-        out.append(_text(legend_x + 28, ly + 4, 12, series.label))
+        if len(series_list) <= LEGEND_ROWS or idx < LEGEND_ROWS - 1:
+            out.append(_line(legend_x, ly, legend_x + 22, ly, color, 3))
+            out.append(_text(legend_x + 28, ly + 4, 12, series.label))
+        elif idx == LEGEND_ROWS - 1:  # its last row counts the series left out
+            out.append(_text(legend_x + 28, ly + 4, 12, f"+{len(series_list) - idx} more"))
 
     out.append(_text(f"{(plot_left + plot_right) / 2:.1f}", HEIGHT - 16, 13, x_label, "middle"))
     mid = f"{(plot_top + plot_bottom) / 2:.1f}"

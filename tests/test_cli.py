@@ -216,6 +216,30 @@ class TestSweeps:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "radii, rings, cells",
+        [
+            ("3..10002", "1..10000", 100_000_000),
+            (",".join(["3"] * 10_000), ",".join(["1"] * 2684), 26_840_000),
+        ],
+        ids=["ranges", "repeats"],
+    )
+    def test_radial_cells_past_the_range_cap_refused_at_once(
+        self, tmp_path, capsys, radii, rings, cells
+    ):
+        # refused before any spec is built: 26.84M repeated cells would fit MAX_WORK
+        out = tmp_path / "r.csv"
+        start = time.perf_counter()
+        args = ("--radii", radii, "--rings", rings, "--subdivide", 1, "--out", out)
+        assert run_cli("sweep-radial", *args) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"straightnet: --radii x --rings selects {cells} cells, more than {MAX_RANGE_VALUES}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_range_syntax(self, tmp_path):
         assert run_cli("sweep-rect", "--sizes", "5..1", "--out", tmp_path / "r.csv") == 1
 
@@ -550,6 +574,7 @@ class TestPlot:
     @pytest.mark.parametrize(
         "text, columns, message",
         [
+            ("", ("--x", "a"), "{table}: empty table"),
             ("alpha,straightness,network,k\n", ("--x", "a"), "{table}: no data rows"),
             (
                 "a,b\n1,2\n",
@@ -560,7 +585,7 @@ class TestPlot:
             ("a,b\n1,2\n", ("--x", "a", "--y", "c"), "column 'c' not in table header ['a', 'b']"),
             ("a,b\n1,x\n", ("--x", "a", "--y", "b"), "{table}: column 'b' holds 'x', not a number"),
         ],
-        ids=["no-rows", "no-defaults", "no-y", "unknown-column", "not-a-number"],
+        ids=["empty-file", "no-rows", "no-defaults", "no-y", "unknown-column", "not-a-number"],
     )
     def test_refusal_is_one_line(self, tmp_path, capsys, text, columns, message):
         table = tmp_path / "t.csv"

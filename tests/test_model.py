@@ -66,6 +66,11 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=r"edges must be a sequence of \(u, v\) pairs"):
             NetworkGraph(SQUARE_NODES, edges)
 
+    @pytest.mark.parametrize("nodes", [[(0, 1, 2)], np.zeros((2, 2, 2))])
+    def test_nodes_that_are_not_pairs_rejected(self, nodes):
+        with pytest.raises(ValueError, match=r"nodes must be a sequence of \(x, y\) pairs"):
+            NetworkGraph(nodes, [])
+
     def test_first_faulty_edge_names_the_error(self):
         with pytest.raises(ValueError, match="self-loop on node 2"):
             NetworkGraph(SQUARE_NODES, [(0, 1), (2, 2), (1, 0), (0, 9)])

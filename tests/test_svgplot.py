@@ -97,6 +97,13 @@ X_TICK_LABEL = re.compile(
     'font-size="12" font-family="sans-serif">([^<]*)</text>'
 )
 
+Y_TICK_LABEL = re.compile(
+    f'<text x="{MARGIN_LEFT - 8}" y="[^"]*" text-anchor="end" '
+    'font-size="12" font-family="sans-serif">([^<]*)</text>'
+)
+# legend labels start 42 px right of the plot frame
+LEGEND_TEXT = re.compile(f'<text x="{WIDTH - MARGIN_RIGHT + 42}" y="([^"]*)"[^>]*>([^<]*)</text>')
+
 
 def drawn_points(svg):
     """The pixel position of every polyline vertex and marker."""
@@ -143,6 +150,27 @@ class TestAxesFitTheData:
         labels = ["1000", "1000.2", "1000.4", "1000.6", "1000.8", "1001"]
         assert X_TICK_LABEL.findall(svg) == labels
 
+    @pytest.mark.parametrize(
+        "y, labels",
+        [
+            (1e4, ["0.00", "2100.00", "4200.00", "6300.00", "8400.00", "10500.00"]),
+            (1e300, ["0", "2.1e+299", "4.2e+299", "6.3e+299", "8.4e+299", "1.05e+300"]),
+            (-1e6, ["-1e+06", "-8e+05", "-6e+05", "-4e+05", "-2e+05", "1.05"]),
+        ],
+    )
+    def test_y_tick_labels_past_eight_characters_take_the_x_digits(self, y, labels):
+        svg = render_svg([Series("s", ((0.0, y), (1.0, 0.5)))], "x", "y")
+        assert Y_TICK_LABEL.findall(svg) == labels
+
+    @pytest.mark.parametrize("count, last", [(23, "s22"), (24, "+2 more"), (30, "+8 more")])
+    def test_legend_stays_on_the_canvas(self, count, last):
+        series = [Series(f"s{i}", ((0.0, i / 30), (1.0, 0.5))) for i in range(count)]
+        svg = render_svg(series, "x", "y")
+        legend = LEGEND_TEXT.findall(svg)
+        assert len(legend) == min(count, 23) and legend[-1][1] == last
+        assert all(float(y) <= HEIGHT for y, _ in legend)
+        assert svg.count("<polyline") == count  # every series is still drawn
+
     def test_x_too_close_for_six_ticks_is_refused(self):
         with pytest.raises(ValueError, match="too close for six ticks"):
             render_svg([Series("s", ((0.0, 0.5), (5e-324, 0.9)))], "x", "y")
@@ -156,6 +184,7 @@ class TestAxesFitTheData:
             return
         assert "nan" not in svg and "inf" not in svg
         assert len(set(X_TICK_LABEL.findall(svg))) == 6
+        assert all(len(label) <= 10 for label in Y_TICK_LABEL.findall(svg))  # "-1.05e+300"
         assert all(in_frame(p) for p in drawn_points(svg))
 
 
