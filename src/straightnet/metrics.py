@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .model import NetworkGraph
-from .shortest_paths import cell_geodesics
+from .shortest_paths import geodesics
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class StraightnessSummary:
 
 # Most geodesic work one command may start, in units of sources x (N + E). A unit
 # took 65-130 ns on 2 cores on the benchmark's graphs (35-70 s in all), but up to
-# 1.6 us where shortest paths have many hops (a fixed cost per round, one per hop).
+# 0.8 us where shortest paths have many hops (a fixed cost per round, one per hop).
 MAX_WORK = 2**29
 
 # A ratio too small for a float (crow-flies distance below about 5e-324 times the
@@ -40,12 +39,11 @@ MAX_WORK = 2**29
 SMALLEST_RATIO = np.nextafter(0.0, 1.0)
 
 
-def check_work(batches: Iterable[tuple[int, int, int]]) -> None:
-    """Raise once the running work of ``(sources, nodes, edges)`` batches passes MAX_WORK."""
-    total = 0
-    for sources, nodes, edges in batches:
-        if (total := total + sources * (nodes + edges)) > MAX_WORK:
-            raise ValueError(f"{total} units of geodesic work, more than {MAX_WORK=}")
+def check_work(sources: int, nodes: int, edges: int, spent: int = 0) -> int:
+    """``spent`` plus the work of one batch; raise if that passes MAX_WORK."""
+    if (total := spent + sources * (nodes + edges)) > MAX_WORK:
+        raise ValueError(f"{total} units of geodesic work, more than {MAX_WORK=}")
+    return total
 
 
 def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
@@ -58,27 +56,55 @@ def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     rounding.  The call checks the batch's work.
     """
     sources = [(v, 1) for v in range(graph.node_count)] if sources is None else list(sources)
-    check_work([(len(sources), graph.node_count, graph.edge_count)])
-    return _rows(graph, sources, cell_geodesics([(graph, [s for s, _ in sources])]))
-
-
-def orbit_rows(graphs: Iterable[NetworkGraph]) -> Iterator[tuple]:
-    """``(graph, rows)`` per graph, read when first needed; rows as :func:`straightness_rows`
-    over its orbits.  Small graphs share relaxations, so read each one's rows in full
-    before the next.  Rows are grouped by graph identity, so each graph must be a new
-    object, as a sweep builds one per cell.  Callers check the work."""
-    found = cell_geodesics((g, [s for s, _ in g.orbits]) for g in graphs)
-    for graph, tagged in groupby(found, key=lambda item: item[0]):
-        yield graph, _rows(graph, graph.orbits, tagged)
+    check_work(len(sources), graph.node_count, graph.edge_count)
+    return _rows(graph, sources, geodesics(graph, [s for s, _ in sources]))
 
 
 def _rows(graph: NetworkGraph, sources: list, found: Iterator) -> Iterator[tuple]:
-    for (source, weight), (_, d_g) in zip(sources, found):  # sources first: no later row read
+    for (source, weight), d_g in zip(sources, found):  # sources first: no later row read
         d_s = np.hypot(*(graph.positions - graph.positions[source]).T)
         ratio = np.full(len(d_g), math.nan)
         np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))
         np.maximum(ratio, SMALLEST_RATIO, out=ratio)  # nan stays nan
         yield source, weight, d_s, d_g, ratio
+
+
+def _moments(weight: int, ratio: np.ndarray) -> tuple:
+    """``(weight, count, sum, centred square sum)`` of one row's measured ratios."""
+    row = ratio[~np.isnan(ratio)]
+    total = float(row.sum())
+    return weight, len(row), total, float(((row - total / max(len(row), 1)) ** 2).sum())
+
+
+def _fold(n: int, moments: Iterable[tuple]) -> StraightnessSummary:
+    """Summary of ``n`` nodes from their rows' :func:`_moments`, merged in order as by
+    Chan et al., so repeated runs are bit-identical; ordered counts are halved."""
+    rows = list(moments)
+    if not (kept := sum(w * c for w, c, _, _ in rows)):
+        raise ValueError("no measurable pair in graph")
+    mean = sum(w * total for w, _, total, _ in rows) / kept  # an empty row adds 0.0
+    square_sum = sum(w * (m2 + c * (total / c - mean) ** 2) for w, c, total, m2 in rows if c)
+    skipped = sum(w * (n - 1 - c) for w, c, _, _ in rows)
+    return StraightnessSummary(kept // 2, mean, math.sqrt(square_sum / kept), skipped // 2)
+
+
+def nested_summaries(host: NetworkGraph, cells: list[tuple]) -> list[StraightnessSummary]:
+    """The summary of each ``(ids, orbits)`` cell from one :func:`straightness_rows` batch
+    over ``host``, which checks that batch's work.
+
+    A cell is the isometric subgraph on the increasing host ids ``ids``, so a host row
+    at ``ids`` is its own row; ``orbits`` are its ``(representative, size)`` in host
+    ids, folded in order as :func:`summarize` does.
+    """
+    wanted = {}  # host source -> (cell, weight) of each cell that has it
+    for cell, (_, orbits) in enumerate(cells):
+        for source, weight in orbits:
+            wanted.setdefault(source, []).append((cell, weight))
+    moments = [[] for _ in cells]
+    for source, _, _, _, ratio in straightness_rows(host, [(s, 1) for s in sorted(wanted)]):
+        for cell, weight in wanted[source]:  # each ratio depends on its own pair only
+            moments[cell].append(_moments(weight, ratio[cells[cell][0]]))
+    return [_fold(len(ids), rows) for (ids, _), rows in zip(cells, moments)]
 
 
 def summarize(
@@ -90,8 +116,7 @@ def summarize(
     symmetry group, weighted by orbit size: a symmetry preserves both
     distances, so every node of an orbit sees the same values.  ``rows``
     replaces them, e.g. with a pair-table writer over every node's row
-    (weights summing to N).  Each row's moments merge as by Chan et al. in a
-    fixed order, so repeated runs are bit-identical; ordered counts are halved.
+    (weights summing to N), and :func:`_fold` merges them.
 
     Positions are distinct and path lengths finite, so the skipped pairs are
     those between connected components.  With ``strict`` a graph that has
@@ -107,22 +132,4 @@ def summarize(
     if graph.edge_count == 0:
         raise ValueError("no measurable pair in graph")
     rows = straightness_rows(graph, graph.orbits) if rows is None else rows
-    moments = []  # (weight, count, sum, centred square sum) per row
-    ordered_kept = ordered_skipped = 0
-    for _, weight, _, _, ratio in rows:
-        row = ratio[~np.isnan(ratio)]
-        ordered_kept += weight * len(row)
-        ordered_skipped += weight * (n - 1 - len(row))
-        if len(row):
-            total = float(row.sum())
-            moments.append((weight, len(row), total, float(((row - total / len(row)) ** 2).sum())))
-    if not ordered_kept:
-        raise ValueError("no measurable pair in graph")
-    mean = sum(w * total for w, _, total, _ in moments) / ordered_kept
-    square_sum = sum(w * (m2 + c * (total / c - mean) ** 2) for w, c, total, m2 in moments)
-    return StraightnessSummary(
-        pair_count=ordered_kept // 2,
-        mean=mean,
-        std_dev=math.sqrt(square_sum / ordered_kept),
-        skipped_pairs=ordered_skipped // 2,
-    )
+    return _fold(n, (_moments(weight, ratio) for _, weight, _, _, ratio in rows))

@@ -15,7 +15,7 @@ import numpy as np
 RIGID_TOLERANCE = 1e-9
 
 
-# eq=False: metrics.orbit_rows groups by graph with itertools.groupby, and == on arrays raises
+# eq=False: graphs compare and hash by identity, since == on their arrays would raise
 @dataclass(frozen=True, slots=True, eq=False)
 class NetworkGraph:
     """Immutable undirected geometric graph.

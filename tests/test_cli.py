@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from straightnet import GridSpec, generate_rectilinear, load_graph, summarize
 from straightnet.analytic import MAX_CURVE_SAMPLES
 from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
-from straightnet.shortest_paths import cell_geodesics
+from straightnet.shortest_paths import geodesics
 from straightnet.tables import read_table
 
 
@@ -153,7 +154,31 @@ class TestCurve:
         assert err.count("\n") == 1
 
 
+# sha256 of the table and stdout of each sweep, written to a relative path,
+# as computed before the sweeps shared one geodesic batch per host graph
+PINNED_SWEEPS = {
+    "rect": (
+        ("sweep-rect", "--sizes", "1..30", "--out", "rect.csv"),
+        "7afe1d02a2bca501c3dcfcdea3667d5a0448b9e94f18c4cb2d45f2ddd7fe9999",
+        "1e2964b4a448e12d9b032fe6ebc3b331232e2a9bfa2d4bd000b900a882b4c7d1",
+    ),
+    "radial": (
+        ("sweep-radial", "--out", "radial.csv"),
+        "7b69931272a9dc96b066a524edacdda002be67f3a20d7cd7fb97ceab52658aa5",
+        "fb9b6af18ab4712a055bc997789101267cccdb7e2a30a6e92a1b857045ff7d68",
+    ),
+}
+
+
 class TestSweeps:
+    @pytest.mark.parametrize("name", PINNED_SWEEPS)
+    def test_pinned_sweep_bytes(self, name, tmp_path, monkeypatch, capsys):
+        args, table_digest, stdout_digest = PINNED_SWEEPS[name]
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*args) == 0
+        assert hashlib.sha256((tmp_path / args[-1]).read_bytes()).hexdigest() == table_digest
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
     def test_rect_sweep(self, tmp_path):
         out = tmp_path / "rect.csv"
         assert run_cli("sweep-rect", "--sizes", "1..3", "--out", out) == 0
@@ -452,16 +477,12 @@ class TestStraightness:
         run_cli("gen", "rect", "--size", 5, "--out", graph_path)
         calls = []
 
-        def counting(cells):
-            for graph, sources in cells:
-                calls.append(list(sources))
-                yield graph, calls[-1]
-
-        def spy(cells):
-            return cell_geodesics(counting(cells))
+        def spy(graph, sources):
+            calls.append(list(sources))
+            return geodesics(graph, calls[-1])
 
         for module in (metrics, shortest_paths):  # every binding of the one search entry
-            monkeypatch.setattr(module, "cell_geodesics", spy)
+            monkeypatch.setattr(module, "geodesics", spy)
         assert run_cli("straightness", graph_path, "--pairs-csv", tmp_path / "p.csv") == 0
         assert calls == [list(range(36))]
 
@@ -490,12 +511,11 @@ class TestValidate:
 
         batches = []
 
-        def counting(cells):
-            for graph, sources in cells:
-                batches.append(list(sources))
-                yield graph, batches[-1]
+        def spy(graph, sources):
+            batches.append(list(sources))
+            return geodesics(graph, batches[-1])
 
-        monkeypatch.setattr(metrics, "cell_geodesics", lambda c: cell_geodesics(counting(c)))
+        monkeypatch.setattr(metrics, "geodesics", spy)
         names = [r.name for r in validation.run_all_checks()]
         assert batches == [[0], [0]]  # grid s=10 and the (8, 3, 4) wheel
         assert names[-3:] == [

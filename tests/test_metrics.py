@@ -23,7 +23,6 @@ from straightnet import (
     tables,
 )
 from straightnet.model import graph_from_json, graph_to_json
-from straightnet.shortest_paths import cell_geodesics
 from straightnet.tables import read_table, write_pairs_csv
 from straightnet.validation import center_curve_check, center_radial_check
 
@@ -164,7 +163,7 @@ class TestWorkBudget:
     def test_rows_are_refused_when_called(self, monkeypatch):
         g = generate_rectilinear(GridSpec(2))  # 9 nodes, 12 edges
         monkeypatch.setattr(metrics, "MAX_WORK", 9 * 21 - 1)
-        monkeypatch.setattr(metrics, "cell_geodesics", None)  # any search would fail
+        monkeypatch.setattr(metrics, "geodesics", None)  # any search would fail
         with pytest.raises(ValueError, match=r"^189 units of geodesic work, more than MAX_WORK=188$"):
             straightness_rows(g)  # the iterator is never advanced
         with pytest.raises(ValueError, match="^189 units"):
@@ -184,15 +183,14 @@ def assert_same_summary(orbit, generic):
 
 
 def spy_searches(monkeypatch):
-    """Record the sources of each cell that goes through ``metrics.cell_geodesics``."""
+    """Record the sources of each batch that goes through ``metrics.geodesics``."""
     calls = []
 
-    def counting(cells):
-        for graph, sources in cells:
-            calls.append(list(sources))
-            yield graph, calls[-1]
+    def spy(graph, sources):
+        calls.append(list(sources))
+        return geodesics(graph, calls[-1])
 
-    monkeypatch.setattr(metrics, "cell_geodesics", lambda cells: cell_geodesics(counting(cells)))
+    monkeypatch.setattr(metrics, "geodesics", spy)
     return calls
 
 
@@ -325,6 +323,7 @@ class TestRandomConnectedGraphs:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(connected_graphs(), min_size=1, max_size=6), st.data())
     def test_packed_cells_equal_heap_dijkstra(self, cases, data):
+        # each (graph, sources) cell is one batch, split into chunks of any size
         cells = []
         for points, edges in cases:
             kept = data.draw(st.lists(st.sampled_from(edges), unique=True), label="kept")
@@ -333,13 +332,9 @@ class TestRandomConnectedGraphs:
             kind = st.sampled_from([int, np.int32, np.uint64])
             ids = st.lists(st.tuples(st.integers(0, g.node_count - 1), kind), max_size=20)
             cells.append((g, [as_id(v) for v, as_id in data.draw(ids, label="sources")]))
-        limits = st.sampled_from([1, 7, 40, shortest_paths.PACK_ENTRIES])
-        with mock.patch.multiple(
-            shortest_paths,
-            PACK_ENTRIES=data.draw(limits, label="pack"),
-            CHUNK_ENTRIES=data.draw(st.sampled_from([1, 13, 100]), label="chunk"),
-        ):
-            got = [row.tobytes() for _, row in cell_geodesics(cells)]
+        chunk = data.draw(st.sampled_from([1, 7, 13, 40, 100]), label="chunk")
+        with mock.patch.object(shortest_paths, "CHUNK_ENTRIES", chunk):
+            got = [row.tobytes() for g, s in cells for row in geodesics(g, s)]
         expected = [row.tobytes() for g, s in cells for row in oracles.dijkstra(g, s)]
         assert got == expected
 

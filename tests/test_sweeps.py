@@ -1,6 +1,9 @@
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from straightnet import (
     GridSpec,
@@ -12,16 +15,17 @@ from straightnet import (
     sweep_rectilinear,
 )
 from straightnet import metrics, shortest_paths, sweeps
-from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION
+from straightnet.shortest_paths import geodesics
+from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION, sub_wheel
 from straightnet.tables import read_table, write_sweep_csv
 
 import oracles
 
 
 def record_summaries(monkeypatch):
-    """Make ``sweeps.summarize`` record calls; returns the list of calls."""
+    """Make ``sweeps.nested_summaries`` record its hosts; returns the list of hosts."""
     calls = []
-    monkeypatch.setattr(sweeps, "summarize", lambda graph: calls.append(graph))
+    monkeypatch.setattr(sweeps, "nested_summaries", lambda host, cells: calls.append(host))
     return calls
 
 
@@ -134,7 +138,7 @@ class TestRadialSweep:
 
 
 class TestPackedCells:
-    """Small cells share geodesic relaxations; every summary stays its own graph's."""
+    """Cells share their host's geodesic rows; every summary stays its own graph's."""
 
     def test_default_radial_cells_equal_direct_summaries(self):
         for result in sweep_radial(range(3, 21), range(1, 6)):
@@ -147,20 +151,18 @@ class TestPackedCells:
             assert result.summary == summarize(generate_rectilinear(GridSpec(size)))
 
     @pytest.mark.parametrize("chunk_entries", [1, 13])
-    @pytest.mark.parametrize("pack_entries", [9, 40, 2**14])
-    def test_cells_split_across_packs(self, monkeypatch, pack_entries, chunk_entries):
-        # small limits put one cell's rows in several packs, and rows of
-        # several cells in one pack; each summary still sees only its own
+    def test_cells_split_across_chunks(self, monkeypatch, chunk_entries):
+        # small chunks split a host's rows over several relaxations; each
+        # summary still sees only its own rows, in its own order
         radial = [RadialSpec(k, m, 2) for k in (3, 5) for m in (1, 2)]
         expected = [summarize(generate_radioconcentric(spec)) for spec in radial]
         expected += [summarize(generate_rectilinear(GridSpec(s))) for s in (1, 2, 3)]
-        monkeypatch.setattr(shortest_paths, "PACK_ENTRIES", pack_entries)
         monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", chunk_entries)
         results = sweep_radial([3, 5], [1, 2], 2) + sweep_rectilinear([1, 2, 3])
         assert [r.summary for r in results] == expected
 
     def test_repeated_parameters_give_one_result_per_cell(self):
-        # every cell builds its own graph, so equal neighbours are not merged
+        # repeated parameters are folded once and still give one result each
         rect = sweep_rectilinear([2, 2, 1])
         assert [r.parameters["squares_per_side"] for r in rect] == [2, 2, 1]
         expected = [summarize(generate_rectilinear(GridSpec(s))) for s in (2, 2, 1)]
@@ -188,6 +190,89 @@ class TestPackedCells:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+class TestOneRelaxationPerHost:
+    """Every cell is a subgraph of its host; one geodesic batch per host serves them all."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        batches = []
+
+        def spy(graph, sources):
+            batches.append((graph, list(sources)))
+            return geodesics(graph, batches[-1][1])
+
+        monkeypatch.setattr(metrics, "geodesics", spy)
+        return batches
+
+    def test_grid_sweep_searches_the_largest_grid_once(self, monkeypatch):
+        batches = self.spy(monkeypatch)
+        sweep_rectilinear(range(1, 31))
+        ((host, sources),) = batches
+        assert host.node_count == 961
+        assert sources == [v for v, _ in generate_rectilinear(GridSpec(30)).orbits]
+        assert len(sources) == 136
+
+    def test_radial_sweep_searches_one_wheel_per_spoke_count(self, monkeypatch):
+        batches = self.spy(monkeypatch)
+        sweep_radial(range(3, 21), range(1, 6))
+        assert len(batches) == 18
+        for k, (host, sources) in zip(range(3, 21), batches):
+            wheel = generate_radioconcentric(RadialSpec(k, 5, DEFAULT_SWEEP_SUBDIVISION))
+            assert host.positions.tobytes() == wheel.positions.tobytes()
+            assert sources == [v for v, _ in wheel.orbits]
+            assert len(sources) == 16
+
+    def test_library_refuses_at_the_first_cell_past_the_budget(self):
+        # the (3, m) cells pass MAX_WORK long before a spec passes MAX_NODES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^538376069 units of geodesic work, more"):
+                sweep_radial(range(3, 1003), range(1, 1001), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 14), min_size=1, max_size=6))
+    def test_any_grid_sizes_equal_direct_summaries(self, sizes):
+        results = sweep_rectilinear(sizes)
+        assert [r.parameters["squares_per_side"] for r in results] == sizes
+        expected = [summarize(generate_rectilinear(GridSpec(s))) for s in sizes]
+        assert [r.summary for r in results] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(3, 9), min_size=1, max_size=4),
+        st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        st.integers(1, 5),
+    )
+    def test_any_radial_sweep_equals_direct_summaries(self, radii, rings, q):
+        results = sweep_radial(radii, rings, q)
+        cells = [(k, m) for k in radii for m in rings]
+        assert [(r.parameters["radii"], r.parameters["rings"]) for r in results] == cells
+        expected = [summarize(generate_radioconcentric(RadialSpec(k, m, q))) for k, m in cells]
+        assert [r.summary for r in results] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 20), st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_sub_wheel_is_the_generated_wheel(self, k, rings, q, data):
+        m = data.draw(st.integers(1, rings), label="m")
+        spec = RadialSpec(k, rings, q)
+        host = generate_radioconcentric(spec)
+        ids, orbits = sub_wheel(host, spec, m)
+        wheel = generate_radioconcentric(RadialSpec(k, m, q))
+        assert np.all(np.diff(ids) > 0)
+        assert host.positions[ids].tobytes() == wheel.positions.tobytes()
+        assert orbits == tuple((int(ids[v]), size) for v, size in wheel.orbits)
+        # the host's edges between the sub-wheel's nodes are the wheel's edges
+        place = np.full(host.node_count, -1)
+        place[ids] = np.arange(len(ids))
+        inner = place[host.edges]
+        inner = inner[np.all(inner >= 0, axis=1)]
+        assert sorted(map(tuple, inner.tolist())) == sorted(map(tuple, wheel.edges.tolist()))
 
 
 class TestSweepCsv:
