@@ -151,15 +151,18 @@ class TestPackedCells:
             assert result.summary == summarize(generate_rectilinear(GridSpec(size)))
 
     @pytest.mark.parametrize("chunk_entries", [1, 13])
-    def test_cells_split_across_chunks(self, monkeypatch, chunk_entries):
-        # small chunks split a host's rows over several relaxations; each
+    @pytest.mark.parametrize("pack_entries", [9, 40, 2**14])
+    def test_cells_split_across_packs(self, monkeypatch, pack_entries, chunk_entries):
+        # the cells of one host share its relaxations: at each CHUNK_ENTRIES
+        # limit, from one source per chunk to the whole host in one, each
         # summary still sees only its own rows, in its own order
         radial = [RadialSpec(k, m, 2) for k in (3, 5) for m in (1, 2)]
         expected = [summarize(generate_radioconcentric(spec)) for spec in radial]
         expected += [summarize(generate_rectilinear(GridSpec(s))) for s in (1, 2, 3)]
-        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", chunk_entries)
-        results = sweep_radial([3, 5], [1, 2], 2) + sweep_rectilinear([1, 2, 3])
-        assert [r.summary for r in results] == expected
+        for entries in (pack_entries, chunk_entries):
+            monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", entries)
+            results = sweep_radial([3, 5], [1, 2], 2) + sweep_rectilinear([1, 2, 3])
+            assert [r.summary for r in results] == expected
 
     def test_repeated_parameters_give_one_result_per_cell(self):
         # repeated parameters are folded once and still give one result each
