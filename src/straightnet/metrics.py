@@ -88,23 +88,24 @@ def _fold(n: int, moments: Iterable[tuple]) -> StraightnessSummary:
     return StraightnessSummary(kept // 2, mean, math.sqrt(square_sum / kept), skipped // 2)
 
 
-def nested_summaries(host: NetworkGraph, cells: list[tuple]) -> list[StraightnessSummary]:
-    """The summary of each ``(ids, orbits)`` cell from one :func:`straightness_rows` batch
-    over ``host``, which checks that batch's work.
+def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[StraightnessSummary]:
+    """The summary of each cell from one :func:`straightness_rows` batch over ``host``,
+    which checks that batch's work.
 
-    A cell is the isometric subgraph on the increasing host ids ``ids``, so a host row
-    at ``ids`` is its own row; ``orbits`` are its ``(representative, size)`` in host
-    ids, folded in order as :func:`summarize` does.
+    A cell is the isometric subgraph on increasing host ids that every symmetry of
+    ``host`` keeps whole, so a host row at its ids is its own row and its orbits are
+    the host's inside it, folded in order as :func:`summarize` does.
     """
     wanted = {}  # host source -> (cell, weight) of each cell that has it
-    for cell, (_, orbits) in enumerate(cells):
-        for source, weight in orbits:
+    for cell, ids in enumerate(cells):
+        for orbit in np.flatnonzero(np.isin([v for v, _ in host.orbits], ids)):
+            source, weight = host.orbits[orbit]
             wanted.setdefault(source, []).append((cell, weight))
     moments = [[] for _ in cells]
     for source, _, _, _, ratio in straightness_rows(host, [(s, 1) for s in sorted(wanted)]):
         for cell, weight in wanted[source]:  # each ratio depends on its own pair only
-            moments[cell].append(_moments(weight, ratio[cells[cell][0]]))
-    return [_fold(len(ids), rows) for (ids, _), rows in zip(cells, moments)]
+            moments[cell].append(_moments(weight, ratio[cells[cell]]))
+    return [_fold(len(ids), rows) for ids, rows in zip(cells, moments)]
 
 
 def summarize(

@@ -1,18 +1,18 @@
 """Simulation sweeps: all-pairs straightness across generator parameters.
 
-Each cell is an isometric subgraph of a host (the largest grid, or per spoke count
-the wheel of the most rings), and one geodesic batch per host serves its cells."""
+Each cell is an isometric subgraph of a host that the host's symmetries keep whole
+(the largest grid of its size's parity, or the wheel of its spoke count with the
+most rings), and one geodesic batch per host serves its cells."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .generators import GridSpec, RadialSpec, generate_radioconcentric, generate_rectilinear
 from .metrics import StraightnessSummary, check_work, nested_summaries
-from .model import NetworkGraph
 
 # Side meshing used by the radial simulation sweep.  Corner-only graphs
 # (subdivision 1) connect every privileged position directly and their mean
@@ -30,27 +30,27 @@ class SweepResult:
     summary: StraightnessSummary
 
 
-def _charged(specs: Iterable) -> list:
-    """``specs``, refused at the first whose running work passes MAX_WORK, as built."""
-    charged, spent = [], 0
+def _sweep(specs: Iterable, group: Callable, generate: Callable, cell_ids: Callable) -> list:
+    """``(spec, summary)`` per spec, each charged as built; one host per ``group`` key,
+    generated from its largest spec, serves each distinct spec at ``cell_ids(host, spec)``."""
+    charged, groups, spent = [], {}, 0
     for spec in specs:
         spent = check_work(spec.orbit_count, spec.node_count, spec.edge_count, spent)
         charged.append(spec)
-    return charged
+        groups.setdefault(group(spec), {})[spec] = None  # distinct, in order
+    summaries = {}
+    for cells in groups.values():
+        host = max(cells, key=lambda spec: spec.node_count)
+        ids = [cell_ids(host, spec) for spec in cells]
+        summaries.update(zip(cells, nested_summaries(generate(host), ids)))
+    return [(spec, summaries[spec]) for spec in charged]
 
 
 def sweep_rectilinear(sizes: Iterable[int]) -> list[SweepResult]:
     """All-pairs straightness of unit grids, one result per size."""
-    specs = _charged(GridSpec(s) for s in sizes)
-    side = 1 + max((spec.squares_per_side for spec in specs), default=0)
-    cells, host = {}, None
-    for spec in dict.fromkeys(specs):  # each grid is built: its orbits depend on its size
-        graph = generate_rectilinear(spec)
-        host = graph if graph.node_count == side * side else host
-        ids = (graph.positions @ (1, side)).astype(np.intp)  # the host node at its (i, j)
-        cells[spec] = ids, tuple((int(ids[v]), size) for v, size in graph.orbits)
-    summaries = dict(zip(cells, nested_summaries(host, list(cells.values()))))
-    return [SweepResult({"squares_per_side": s.squares_per_side}, summaries[s]) for s in specs]
+    specs = (GridSpec(s) for s in sizes)
+    cells = _sweep(specs, lambda spec: spec.squares_per_side % 2, generate_rectilinear, _grid_ids)
+    return [SweepResult({"squares_per_side": s.squares_per_side}, summary) for s, summary in cells]
 
 
 def sweep_radial(
@@ -60,25 +60,24 @@ def sweep_radial(
 ) -> list[SweepResult]:
     """All-pairs straightness of radio-concentric networks over (k, m)."""
     rings = list(rings)
-    specs = _charged(RadialSpec(k, m, subdivision) for k in radii for m in rings)
-    summaries = {}
-    for k in dict.fromkeys(spec.radii_count for spec in specs):  # one host per spoke count
-        wheels = dict.fromkeys(RadialSpec(k, m, subdivision) for m in rings)
-        host = generate_radioconcentric(spec := max(wheels, key=lambda w: w.rings_count))
-        cells = [sub_wheel(host, spec, wheel.rings_count) for wheel in wheels]
-        summaries.update(zip(wheels, nested_summaries(host, cells)))
+    specs = (RadialSpec(k, m, subdivision) for k in radii for m in rings)
+    cells = _sweep(specs, lambda spec: spec.radii_count, generate_radioconcentric, _wheel_ids)
     return [
-        SweepResult({"radii": s.radii_count, "rings": s.rings_count}, summaries[s]) for s in specs
+        SweepResult({"radii": s.radii_count, "rings": s.rings_count}, summary)
+        for s, summary in cells
     ]
 
 
-def sub_wheel(host: NetworkGraph, spec: RadialSpec, rings: int) -> tuple:
-    """``(ids, orbits)`` of the first ``rings`` rings of ``host``, made by ``spec``.
+def _grid_ids(host: GridSpec, cell: GridSpec) -> np.ndarray:
+    """Host ids of ``cell``'s nodes, row by row, both coordinates shifted by (S - s) / 2."""
+    s = cell.squares_per_side
+    i = (host.squares_per_side - s) // 2 + np.arange(s + 1)
+    return (i[:, None] * (host.squares_per_side + 1) + i).ravel()
 
-    Center and corners keep their ids; side ids shift by the host's extra corners.
-    Symmetries keep every ring, so the orbits are the host's inside it."""
-    k, q = spec.radii_count, spec.side_subdivision
-    sides = 1 + rings * k + np.arange(rings * k * (q - 1))
-    ids = np.concatenate([np.arange(1 + rings * k), sides + (spec.rings_count - rings) * k])
-    inside = np.isin([v for v, _ in host.orbits], ids)
-    return ids, tuple(orbit for orbit, kept in zip(host.orbits, inside) if kept)
+
+def _wheel_ids(host: RadialSpec, cell: RadialSpec) -> np.ndarray:
+    """Host ids of the center and ``cell``'s first rings of corners (same ids) and side
+    nodes (shifted by the host's extra corners); the host's D_k keeps each ring whole."""
+    k, m = cell.radii_count, cell.rings_count
+    sides = 1 + m * k + np.arange(m * k * (cell.side_subdivision - 1))
+    return np.concatenate([np.arange(1 + m * k), sides + (host.rings_count - m) * k])

@@ -16,7 +16,7 @@ from straightnet import (
 )
 from straightnet import metrics, shortest_paths, sweeps
 from straightnet.shortest_paths import geodesics
-from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION, sub_wheel
+from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION, _grid_ids, _wheel_ids
 from straightnet.tables import read_table, write_sweep_csv
 
 import oracles
@@ -27,6 +27,13 @@ def record_summaries(monkeypatch):
     calls = []
     monkeypatch.setattr(sweeps, "nested_summaries", lambda host, cells: calls.append(host))
     return calls
+
+
+def record_builds(monkeypatch, name):
+    """Make ``sweeps.<name>`` record the specs it generates; returns the list of specs."""
+    built, generate = [], getattr(sweeps, name)
+    monkeypatch.setattr(sweeps, name, lambda spec: built.append(spec) or generate(spec))
+    return built
 
 
 class TestRectSweep:
@@ -57,15 +64,9 @@ class TestRectSweep:
             g = generate_rectilinear(GridSpec(size))
             budget += len(g.orbits) * (g.node_count + g.edge_count)
         monkeypatch.setattr(metrics, "MAX_WORK", budget)
-        built = []
-
-        def counting(spec):
-            built.append(spec.squares_per_side)
-            return generate_rectilinear(spec)
-
-        monkeypatch.setattr(sweeps, "generate_rectilinear", counting)
+        built = record_builds(monkeypatch, "generate_rectilinear")
         assert len(sweep_rectilinear([1, 2, 3])) == 3  # a total equal to the budget passes
-        assert built == [1, 2, 3]
+        assert built == [GridSpec(3), GridSpec(2)]  # the largest grid of each size parity
         built.clear()
         with pytest.raises(ValueError, match=f"^{budget + 6 * (25 + 40)} units .*MAX_WORK"):
             sweep_rectilinear([1, 2, 3, 4])
@@ -75,6 +76,10 @@ class TestRectSweep:
         results = sweep_rectilinear(iter([2, 1]))
         assert [r.parameters["squares_per_side"] for r in results] == [2, 1]
 
+    def test_builds_only_the_host_of_each_parity(self, monkeypatch):
+        built = record_builds(monkeypatch, "generate_rectilinear")
+        sweep_rectilinear(range(1, 31))
+        assert built == [GridSpec(29), GridSpec(30)]  # no grid cell is built
 
     def test_sweep_matches_the_offset_class_sum(self):
         # A5's sweep, checked against a sum that runs no path search
@@ -83,6 +88,12 @@ class TestRectSweep:
             assert (result.summary.pair_count, result.summary.skipped_pairs) == (pairs, 0)
             assert abs(result.summary.mean - mean) <= 1e-12
             assert abs(result.summary.std_dev - std_dev) <= 1e-12
+
+
+def test_empty_input_gives_no_results():
+    assert sweep_rectilinear([]) == []
+    assert sweep_radial([], [1]) == []
+    assert sweep_radial([3], []) == []
 
 
 class TestRadialSweep:
@@ -112,6 +123,11 @@ class TestRadialSweep:
         with pytest.raises(ValueError, match="radii_count"):
             sweep_radial([3, 4, 2], [1])
         assert calls == []  # refused before any cell was summarized
+
+    def test_builds_only_the_host_of_each_spoke_count(self, monkeypatch):
+        built = record_builds(monkeypatch, "generate_radioconcentric")
+        sweep_radial(range(3, 21), range(1, 6))
+        assert built == [RadialSpec(k, 5, DEFAULT_SWEEP_SUBDIVISION) for k in range(3, 21)]
 
     def test_one_shot_iterators(self):
         results = sweep_radial(iter([4, 3]), iter([1, 2]), subdivision=1)
@@ -210,12 +226,15 @@ class TestOneRelaxationPerHost:
         return batches
 
     def test_grid_sweep_searches_the_largest_grid_once(self, monkeypatch):
+        # one batch per size parity, from the representatives of its largest grid
         batches = self.spy(monkeypatch)
         sweep_rectilinear(range(1, 31))
-        ((host, sources),) = batches
-        assert host.node_count == 961
-        assert sources == [v for v, _ in generate_rectilinear(GridSpec(30)).orbits]
-        assert len(sources) == 136
+        assert [(host.node_count, len(sources)) for host, sources in batches] == [
+            (900, 120),
+            (961, 136),
+        ]
+        for (_, sources), size in zip(batches, (29, 30)):
+            assert sources == [v for v, _ in generate_rectilinear(GridSpec(size)).orbits]
 
     def test_radial_sweep_searches_one_wheel_per_spoke_count(self, monkeypatch):
         batches = self.spy(monkeypatch)
@@ -259,23 +278,33 @@ class TestOneRelaxationPerHost:
         expected = [summarize(generate_radioconcentric(RadialSpec(k, m, q))) for k, m in cells]
         assert [r.summary for r in results] == expected
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 20), st.integers(1, 5), st.integers(1, 5), st.data())
-    def test_sub_wheel_is_the_generated_wheel(self, k, rings, q, data):
-        m = data.draw(st.integers(1, rings), label="m")
-        spec = RadialSpec(k, rings, q)
-        host = generate_radioconcentric(spec)
-        ids, orbits = sub_wheel(host, spec, m)
-        wheel = generate_radioconcentric(RadialSpec(k, m, q))
-        assert np.all(np.diff(ids) > 0)
-        assert host.positions[ids].tobytes() == wheel.positions.tobytes()
-        assert orbits == tuple((int(ids[v]), size) for v, size in wheel.orbits)
-        # the host's edges between the sub-wheel's nodes are the wheel's edges
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cell_ids_place_the_generated_cell_in_its_host(self, data):
+        if data.draw(st.booleans(), label="grid"):
+            host_spec = GridSpec(data.draw(st.integers(1, 14), label="S"))
+            shift = data.draw(st.integers(0, (host_spec.squares_per_side - 1) // 2), label="t")
+            spec = GridSpec(host_spec.squares_per_side - 2 * shift)  # same parity, S - s = 2t
+            ids = _grid_ids(host_spec, spec)
+            generate = generate_rectilinear
+        else:
+            k, rings, q = (data.draw(st.integers(*r)) for r in ((3, 20), (1, 5), (1, 5)))
+            host_spec = RadialSpec(k, rings, q)
+            spec = RadialSpec(k, data.draw(st.integers(1, rings), label="m"), q)
+            ids = _wheel_ids(host_spec, spec)
+            generate, shift = generate_radioconcentric, 0  # a sub-wheel keeps its positions
+        host, cell = generate(host_spec), generate(spec)
+        assert len(ids) == cell.node_count and np.all(np.diff(ids) > 0)
+        assert host.positions[ids].tobytes() == (cell.positions + shift).tobytes()
+        # the host's edges between the cell's nodes are the cell's edges
         place = np.full(host.node_count, -1)
         place[ids] = np.arange(len(ids))
         inner = place[host.edges]
         inner = inner[np.all(inner >= 0, axis=1)]
-        assert sorted(map(tuple, inner.tolist())) == sorted(map(tuple, wheel.edges.tolist()))
+        assert sorted(map(tuple, inner.tolist())) == sorted(map(tuple, cell.edges.tolist()))
+        # the host's orbits inside the cell are the cell's, in host ids
+        inside = tuple((v, size) for v, size in host.orbits if place[v] >= 0)
+        assert inside == tuple((int(ids[v]), size) for v, size in cell.orbits)
 
 
 class TestSweepCsv:
