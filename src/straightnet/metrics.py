@@ -89,22 +89,19 @@ def _fold(n: int, moments: Iterable[tuple]) -> StraightnessSummary:
 
 
 def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[StraightnessSummary]:
-    """The summary of each cell from one :func:`straightness_rows` batch over ``host``,
-    which checks that batch's work.
+    """The summary of each cell from one :func:`straightness_rows` batch over the orbits
+    of ``host``, which checks that batch's work.
 
     A cell is the isometric subgraph on increasing host ids that every symmetry of
     ``host`` keeps whole, so a host row at its ids is its own row and its orbits are
-    the host's inside it, folded in order as :func:`summarize` does.
-    """
-    wanted = {}  # host source -> (cell, weight) of each cell that has it
-    for cell, ids in enumerate(cells):
-        for orbit in np.flatnonzero(np.isin([v for v, _ in host.orbits], ids)):
-            source, weight = host.orbits[orbit]
-            wanted.setdefault(source, []).append((cell, weight))
+    the host's inside it, each folded with its row's weight as :func:`summarize` does."""
+    representatives = [v for v, _ in host.orbits]
+    held = [np.isin(representatives, ids) for ids in cells]
     moments = [[] for _ in cells]
-    for source, _, _, _, ratio in straightness_rows(host, [(s, 1) for s in sorted(wanted)]):
-        for cell, weight in wanted[source]:  # each ratio depends on its own pair only
-            moments[cell].append(_moments(weight, ratio[cells[cell]]))
+    for orbit, (_, weight, _, _, ratio) in enumerate(straightness_rows(host, host.orbits)):
+        for ids, has, rows in zip(cells, held, moments):  # each ratio depends on its own pair
+            if has[orbit]:
+                rows.append(_moments(weight, ratio[ids]))
     return [_fold(len(ids), rows) for ids, rows in zip(cells, moments)]
 
 

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import straightnet
 
@@ -66,3 +70,16 @@ def test_graph_surface_is_pinned():
     # the graph's public attributes are the model's interface to every caller
     public = [name for name in dir(straightnet.NetworkGraph) if not name.startswith("_")]
     assert sorted(public) == GRAPH_ATTRIBUTES
+
+
+def test_import_loads_no_network_or_mail_modules():
+    # each of these costs every command's start-up time; xml.sax.saxutils, for
+    # one, pulls in all four (about 27 ms on a 2-core machine)
+    code = "import sys, straightnet, straightnet.cli; print(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert loaded.isdisjoint({"urllib.request", "http.client", "ssl", "email"})

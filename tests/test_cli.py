@@ -742,7 +742,7 @@ class TestDeterminism:
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "straightnet", "--version"],
+        [sys.executable, "-W", "error", "-m", "straightnet", "--version"],
         capture_output=True,
         text=True,
     )

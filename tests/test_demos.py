@@ -22,6 +22,10 @@ def test_demo_runs(demo, tmp_path):
     script = shutil.copy(demo, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, script], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -20,6 +20,10 @@ def test_blocks_found():
 def test_block_runs(block, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", "-c", block],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr

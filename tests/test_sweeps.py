@@ -246,6 +246,42 @@ class TestOneRelaxationPerHost:
             assert sources == [v for v, _ in wheel.orbits]
             assert len(sources) == 16
 
+    def test_nested_summaries_reads_the_host_orbit_rows_once(self, monkeypatch):
+        # one batch over the host's own (representative, weight) orbits
+        calls, rows = [], metrics.straightness_rows
+        monkeypatch.setattr(
+            metrics,
+            "straightness_rows",
+            lambda graph, sources: calls.append(list(sources)) or rows(graph, calls[-1]),
+        )
+        grid, wheel = GridSpec(6), RadialSpec(5, 3, 2)
+        grid_cells = [_grid_ids(grid, GridSpec(s)) for s in (6, 4, 2)]
+        wheel_cells = [_wheel_ids(wheel, RadialSpec(5, m, 2)) for m in (3, 1)]
+        for host, cells in [
+            (generate_rectilinear(grid), grid_cells),
+            (generate_radioconcentric(wheel), wheel_cells),
+        ]:
+            metrics.nested_summaries(host, cells)
+            assert calls.pop() == list(host.orbits) and not calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_nested_summaries_equal_direct_summaries(self, data):
+        # any nested cells, repeated or not, with or without the host itself
+        if data.draw(st.booleans(), label="grid"):
+            size = data.draw(st.integers(1, 12), label="S")
+            host = GridSpec(size)
+            nested = st.integers(0, (size - 1) // 2).map(lambda t: GridSpec(size - 2 * t))
+            generate, cell_ids = generate_rectilinear, _grid_ids
+        else:
+            k, rings, q = (data.draw(st.integers(*r)) for r in ((3, 9), (1, 4), (1, 4)))
+            host = RadialSpec(k, rings, q)
+            nested = st.integers(1, rings).map(lambda m: RadialSpec(k, m, q))
+            generate, cell_ids = generate_radioconcentric, _wheel_ids
+        cells = data.draw(st.lists(nested, max_size=4), label="cells")
+        summaries = metrics.nested_summaries(generate(host), [cell_ids(host, c) for c in cells])
+        assert summaries == [summarize(generate(cell)) for cell in cells]
+
     def test_library_refuses_at_the_first_cell_past_the_budget(self):
         # the (3, m) cells pass MAX_WORK long before a spec passes MAX_NODES
         tracemalloc.start()
