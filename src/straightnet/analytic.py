@@ -92,7 +92,7 @@ def straightness_radial(radii_count: int, alpha: Angles) -> Angles:
     return _like(alpha, 1.0 / denominator)
 
 
-def mesh_oracle_radial(radii_count: int, alpha: float) -> float:
+def mesh_oracle_radial(radii_count: int, alpha: Angles) -> Angles:
     """Straightness from the explicit two-route geometry of one sector.
 
     The destination is where the ray at angle ``alpha`` crosses the chord
@@ -103,18 +103,18 @@ def mesh_oracle_radial(radii_count: int, alpha: float) -> float:
     as an independent oracle for the closed form.
     """
     theta = sector_angle(radii_count)
-    if not (math.isfinite(alpha) and 0.0 <= alpha <= theta):
+    if not np.all((0.0 <= alpha) & (alpha <= theta)):  # nan fails both
         raise ValueError("alpha must lie within the first sector [0, theta]")
     ax, ay = 1.0, 0.0
     bx, by = math.cos(theta), math.sin(theta)
-    ux, uy = math.cos(alpha), math.sin(alpha)
+    ux, uy = np.cos(alpha), np.sin(alpha)
     # Ray/chord intersection: scale the unit direction until it meets the
     # chord line through A and B (normal form avoids solving a 2x2 system).
     nx, ny = ay - by, bx - ax
     t = (ax * nx + ay * ny) / (ux * nx + uy * ny)
     px, py = t * ux, t * uy
-    chord = min(math.hypot(px - ax, py - ay), math.hypot(px - bx, py - by))
-    return math.hypot(px, py) / (1.0 + chord)  # a unit spoke, then along the chord
+    chord = np.minimum(np.hypot(px - ax, py - ay), np.hypot(px - bx, py - by))
+    return _like(alpha, np.hypot(px, py) / (1.0 + chord))  # a unit spoke, then the chord
 
 
 def analytic_curve(

@@ -93,14 +93,13 @@ def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[Straig
     of ``host``, which checks that batch's work.
 
     A cell is the isometric subgraph on increasing host ids that every symmetry of
-    ``host`` keeps whole, so a host row at its ids is its own row and its orbits are
-    the host's inside it, each folded with its row's weight as :func:`summarize` does."""
-    representatives = [v for v, _ in host.orbits]
-    held = [np.isin(representatives, ids) for ids in cells]
+    ``host`` keeps whole, so its orbits are the host's inside it and a host row at its
+    ids is its own row: a row joins every cell that holds its source, with its weight."""
+    held = [np.bincount(ids, minlength=host.node_count).astype(bool) for ids in cells]
     moments = [[] for _ in cells]
-    for orbit, (_, weight, _, _, ratio) in enumerate(straightness_rows(host, host.orbits)):
+    for source, weight, _, _, ratio in straightness_rows(host, host.orbits):
         for ids, has, rows in zip(cells, held, moments):  # each ratio depends on its own pair
-            if has[orbit]:
+            if has[source]:
                 rows.append(_moments(weight, ratio[ids]))
     return [_fold(len(ids), rows) for ids, rows in zip(cells, moments)]
 

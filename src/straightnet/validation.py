@@ -107,8 +107,7 @@ def check_formula_vs_mesh() -> CheckResult:
     per_k = 34  # ceil(1000 / 30): at least 1000 directions over the 30 spoke counts
     for k in range(3, 33):
         alpha = sector_angle(k) * (np.arange(per_k) + 0.5) / per_k
-        mesh = [mesh_oracle_radial(k, a) for a in alpha.tolist()]
-        worst = max(worst, _worst(np.array(mesh) - straightness_radial(k, alpha)))
+        worst = max(worst, _worst(mesh_oracle_radial(k, alpha) - straightness_radial(k, alpha)))
     return CheckResult("closed form vs mesh geometry", worst, GEOMETRY_TOLERANCE)
 
 

@@ -19,7 +19,8 @@ adjacency is the arc layout that the geodesic kernel's arc arrays must
 match, and the arc lists ``dijkstra`` reads.  ``dijkstra`` is the
 one-source-at-a-time binary-heap search the vectorised kernel must equal
 bit for bit.  The ``scalar_*`` closed forms are the one-direction-at-a-time
-``math`` evaluation the array closed forms must equal exactly, and the
+``math`` evaluation the array closed forms must equal exactly (the mesh
+oracle within an ulp, where ``np.hypot`` and ``math.hypot`` differ), and the
 ``loop_center_*`` checks the per-node center checks the row-kernel ones
 must agree with.  The scalar ``*_node_id`` one-liners state the
 generators' node-id layout independently of ``src/``, so the loop
@@ -422,6 +423,21 @@ def scalar_straightness_radial(radii_count, alpha):
         + math.sin(a) / math.tan(half_apex)
         + math.sin(a) / math.sin(half_apex)
     )
+
+
+def scalar_mesh_oracle_radial(radii_count, alpha):
+    """The two-route sector geometry for one direction ``alpha`` in ``[0, theta]``."""
+    theta = sector_angle(radii_count)
+    if not (math.isfinite(alpha) and 0.0 <= alpha <= theta):
+        raise ValueError("alpha must lie within the first sector [0, theta]")
+    ax, ay = 1.0, 0.0
+    bx, by = math.cos(theta), math.sin(theta)
+    ux, uy = math.cos(alpha), math.sin(alpha)
+    nx, ny = ay - by, bx - ax
+    t = (ax * nx + ay * ny) / (ux * nx + uy * ny)
+    px, py = t * ux, t * uy
+    chord = min(math.hypot(px - ax, py - ay), math.hypot(px - bx, py - by))
+    return math.hypot(px, py) / (1.0 + chord)
 
 
 def loop_center_curve_check(graph):

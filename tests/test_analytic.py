@@ -21,6 +21,7 @@ from straightnet.analytic import (
 
 from oracles import (
     scalar_canonicalize,
+    scalar_mesh_oracle_radial,
     scalar_straightness_radial,
     scalar_straightness_rectilinear,
 )
@@ -392,6 +393,17 @@ class TestArrayPath:
         alphas = [alpha_max * i / (steps - 1) for i in range(steps)]
         expected = [(a, scalar_straightness_radial(k, a)) for a in alphas]
         assert analytic_curve("radial", k, steps, alpha_max) == expected
+
+    def test_mesh_oracle_matches_scalar(self):
+        # np.hypot and math.hypot may differ by an ulp
+        for k in range(3, 33):
+            alphas = sector_angle(k) * (np.arange(34) + 0.5) / 34
+            expected = [scalar_mesh_oracle_radial(k, a) for a in alphas.tolist()]
+            assert mesh_oracle_radial(k, alphas) == pytest.approx(expected, rel=0, abs=1e-15)
+        assert type(mesh_oracle_radial(8, 0.3)) is float
+        for bad in (np.array([0.1, math.nan]), math.inf):
+            with pytest.raises(ValueError, match="first sector"):
+                mesh_oracle_radial(8, bad)
 
     def test_scalar_in_gives_float_out(self):
         assert type(canonicalize(math.pi / 2, 2.0)) is float

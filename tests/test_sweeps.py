@@ -264,6 +264,25 @@ class TestOneRelaxationPerHost:
             metrics.nested_summaries(host, cells)
             assert calls.pop() == list(host.orbits) and not calls
 
+    def test_nested_summaries_key_each_row_on_its_source(self, monkeypatch):
+        # host rows in reverse order still join exactly the cells that hold their source
+        hosts = [  # each host is its first cell
+            (generate_rectilinear, [GridSpec(s) for s in (8, 6, 2)], _grid_ids),
+            (generate_radioconcentric, [RadialSpec(7, m, 3) for m in (4, 2, 1)], _wheel_ids),
+        ]
+        expected = [[summarize(generate(c)) for c in cells] for generate, cells, _ in hosts]
+        rows = metrics.straightness_rows
+        monkeypatch.setattr(
+            metrics, "straightness_rows", lambda graph, sources: list(rows(graph, sources))[::-1]
+        )
+        for (generate, cells, cell_ids), direct in zip(hosts, expected):
+            host = cells[0]
+            summaries = metrics.nested_summaries(generate(host), [cell_ids(host, c) for c in cells])
+            for got, want in zip(summaries, direct, strict=True):
+                assert (got.pair_count, got.skipped_pairs) == (want.pair_count, want.skipped_pairs)
+                assert got.mean == pytest.approx(want.mean, rel=1e-12)
+                assert got.std_dev == pytest.approx(want.std_dev, rel=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_nested_summaries_equal_direct_summaries(self, data):
