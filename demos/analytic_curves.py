@@ -7,8 +7,9 @@ One grid curve plus radial curves for 3, 4, 8 and 16 spokes, sampled over
 import math
 from pathlib import Path
 
-from straightnet import Series, analytic_curve, render_svg, straightness_radial
-from straightnet.svgplot import write_svg
+from straightnet import straightness_radial
+from straightnet.analytic import analytic_curve
+from straightnet.svgplot import Series, render_svg, write_svg
 from straightnet.tables import write_curve_csv
 
 OUT = Path(__file__).parent / "out"

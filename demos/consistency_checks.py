@@ -3,7 +3,8 @@
 Equivalent to ``straightnet validate`` but showing the library calls.
 """
 
-from straightnet import dominance_fraction, run_all_checks
+from straightnet.analytic import dominance_fraction
+from straightnet.validation import run_all_checks
 
 for result in run_all_checks():
     status = "ok" if result.passed else "FAIL"

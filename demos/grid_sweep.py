@@ -7,8 +7,8 @@ a plot next to it.
 
 from pathlib import Path
 
-from straightnet import Series, render_svg, sweep_rectilinear
-from straightnet.svgplot import write_svg
+from straightnet import sweep_rectilinear
+from straightnet.svgplot import Series, render_svg, write_svg
 from straightnet.tables import write_sweep_csv
 
 OUT = Path(__file__).parent / "out"

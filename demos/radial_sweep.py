@@ -9,8 +9,8 @@ plot with one curve per ring count.
 
 from pathlib import Path
 
-from straightnet import render_svg, sweep_radial
-from straightnet.svgplot import write_svg
+from straightnet import sweep_radial
+from straightnet.svgplot import render_svg, write_svg
 from straightnet.tables import plot_series, write_sweep_csv
 
 OUT = Path(__file__).parent / "out"

@@ -7,12 +7,7 @@ symmetry orbit on generated graphs), and drives the simulation sweeps
 behind the ``straightnet`` command line tool.
 """
 
-from .analytic import (
-    analytic_curve,
-    dominance_fraction,
-    straightness_radial,
-    straightness_rectilinear,
-)
+from .analytic import straightness_radial, straightness_rectilinear
 from .generators import (
     GridSpec,
     RadialSpec,
@@ -21,10 +16,7 @@ from .generators import (
 )
 from .metrics import straightness_rows, summarize
 from .model import NetworkGraph, load_graph, save_graph
-from .shortest_paths import geodesics
-from .svgplot import Series, render_svg
 from .sweeps import sweep_radial, sweep_rectilinear
-from .validation import run_all_checks
 
 __version__ = "0.1.0"
 
@@ -32,15 +24,9 @@ __all__ = [
     "GridSpec",
     "NetworkGraph",
     "RadialSpec",
-    "Series",
-    "analytic_curve",
-    "dominance_fraction",
     "generate_radioconcentric",
     "generate_rectilinear",
-    "geodesics",
     "load_graph",
-    "render_svg",
-    "run_all_checks",
     "save_graph",
     "straightness_radial",
     "straightness_rectilinear",

@@ -102,12 +102,12 @@ def mesh_oracle_radial(radii_count: int, alpha: Angles) -> Angles:
     distance.  Built from plain coordinate geometry, and therefore usable
     as an independent oracle for the closed form.
     """
-    theta = sector_angle(radii_count)
-    if not np.all((0.0 <= alpha) & (alpha <= theta)):  # nan fails both
+    theta, a = sector_angle(radii_count), np.asarray(alpha)
+    if not np.all((0.0 <= a) & (a <= theta)):  # nan fails both
         raise ValueError("alpha must lie within the first sector [0, theta]")
     ax, ay = 1.0, 0.0
     bx, by = math.cos(theta), math.sin(theta)
-    ux, uy = np.cos(alpha), np.sin(alpha)
+    ux, uy = np.cos(a), np.sin(a)
     # Ray/chord intersection: scale the unit direction until it meets the
     # chord line through A and B (normal form avoids solving a 2x2 system).
     nx, ny = ay - by, bx - ax

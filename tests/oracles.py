@@ -5,8 +5,11 @@ library's shortest-path code: geodesics come from exhaustive simple-path
 enumeration over neighbor lists built here from the edge arrays, which is
 exact for the small graphs (<= ~10 nodes) the hand-checked cases use.
 ``exact_grid_summary`` is the grid aggregate summed over offset classes,
-with no path search at all.  ``two_pass_summary`` is the aggregate that
-keeps every row, which the one-pass fold of per-row moments must match.
+with no path search at all, and ``exact_grid_distances`` and
+``exact_wheel_distances`` are the two families' all-pairs geodesics from
+their geometry alone (``exact_wheel_summary`` aggregates the wheel's).
+``two_pass_summary`` is the aggregate that keeps every row, which the
+one-pass fold of per-row moments must match.
 ``all_pairs`` and ``pair_straightness`` are the plain per-pair path the
 library's row kernel is checked against (its fields formatted by
 ``format_angle``/``format_ratio``).  ``loop_pairs_csv`` is the pair-table
@@ -110,6 +113,74 @@ def exact_grid_summary(size):
     total = int(weight.sum())
     mean = float((weight * value).sum()) / total
     return total, mean, math.sqrt(float((weight * (value - mean) ** 2).sum()) / total)
+
+
+def exact_grid_distances(size):
+    """All-pairs geodesics of a unit grid: ``|dx| + |dy|``, with no path search."""
+    spec = SimpleNamespace(squares_per_side=size)
+    x, y = np.zeros((2, (size + 1) ** 2))
+    for j in range(size + 1):
+        for i in range(size + 1):
+            node = grid_node_id(spec, i, j)
+            x[node], y[node] = i, j
+    return abs(x[:, None] - x) + abs(y[:, None] - y)
+
+
+def wheel_layout(k, m, q):
+    """``(ring, spoke, fraction)`` of every node of the ``(k, m, q)`` wheel.
+
+    The center is ring 0; a corner has fraction 0; a side node lies at
+    ``fraction`` of the way along its ring's chord from ``spoke`` to the next.
+    """
+    spec = SimpleNamespace(radii_count=k, rings_count=m, side_subdivision=q)
+    ring, spoke, fraction = np.zeros((3, 1 + m * k * q))
+    for r in range(1, m + 1):
+        for s in range(k):
+            for step in range(q):  # step 0 is the corner
+                node = side_node_id(spec, r, s, step) if step else ring_node_id(spec, r, s)
+                ring[node], spoke[node], fraction[node] = r, s, step / q
+    return ring, spoke.astype(int), fraction
+
+
+def exact_wheel_distances(k, m, q):
+    """All-pairs geodesics of a wheel from its geometry, with no path search.
+
+    Corners on rings i and j, ``delta`` <= k/2 sectors apart, are
+    ``min(i + j, |i - j| + min(i, j) c delta)`` apart, ``c = 2 sin(pi/k)``
+    being the unit chord: through the center, or down to the lower ring and
+    along it.  A side node at fraction f of its ring-r chord leaves through
+    either chord end, at ``f r c`` or ``(1 - f) r c``; two nodes of one
+    chord can also go straight along it.
+    """
+    ring, spoke, fraction = wheel_layout(k, m, q)
+    c = 2.0 * math.sin(math.pi / k)
+    low = np.minimum(ring[:, None], ring)
+    exits = ((spoke, fraction * ring * c), ((spoke + 1) % k, (1.0 - fraction) * ring * c))
+    best = np.full((len(ring), len(ring)), math.inf)
+    for end_u, off_u in exits:
+        for end_v, off_v in exits:
+            delta = abs(end_u[:, None] - end_v)
+            delta = np.minimum(delta, k - delta)
+            corners = np.minimum(ring[:, None] + ring, abs(ring[:, None] - ring) + low * c * delta)
+            best = np.minimum(best, off_u[:, None] + corners + off_v)
+    chord = (ring[:, None] == ring) & (spoke[:, None] == spoke)
+    along = abs(fraction[:, None] - fraction) * ring[:, None] * c
+    return np.where(chord, np.minimum(best, along), best)
+
+
+def exact_wheel_summary(k, m, q):
+    """``(pair_count, mean, std_dev)`` of straightness over ``exact_wheel_distances``.
+
+    Positions come from each node's ring, spoke and fraction along its chord.
+    """
+    ring, spoke, fraction = wheel_layout(k, m, q)
+    angle = 2.0 * math.pi / k
+    ax, ay = ring * np.cos(spoke * angle), ring * np.sin(spoke * angle)
+    bx, by = ring * np.cos((spoke + 1) * angle), ring * np.sin((spoke + 1) * angle)
+    x, y = ax + fraction * (bx - ax), ay + fraction * (by - ay)
+    u, v = np.triu_indices(len(ring), 1)
+    value = np.hypot(x[u] - x[v], y[u] - y[v]) / exact_wheel_distances(k, m, q)[u, v]
+    return len(value), float(value.mean()), float(value.std())
 
 
 def two_pass_summary(graph, rows):

@@ -18,7 +18,6 @@ from straightnet import (
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
-    geodesics,
     straightness_radial,
     summarize,
     sweep_radial,
@@ -27,6 +26,7 @@ from straightnet import (
 from straightnet.analytic import canonicalize, mesh_oracle_radial, sector_angle
 from straightnet.validation import center_curve_check, center_radial_check
 from straightnet.cli import main
+from straightnet.shortest_paths import geodesics
 
 import oracles
 from oracles import all_pairs, grid_node_id, pair_straightness, ring_node_id

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from straightnet import (
-    analytic_curve,
-    dominance_fraction,
-    straightness_radial,
-    straightness_rectilinear,
-)
+from straightnet import straightness_radial, straightness_rectilinear
 from straightnet.analytic import (
     DOMINANCE_SAMPLES,
     MAX_CURVE_SAMPLES,
+    analytic_curve,
     canonicalize,
+    dominance_fraction,
     mesh_oracle_radial,
     sector_angle,
 )
@@ -401,6 +398,8 @@ class TestArrayPath:
             expected = [scalar_mesh_oracle_radial(k, a) for a in alphas.tolist()]
             assert mesh_oracle_radial(k, alphas) == pytest.approx(expected, rel=0, abs=1e-15)
         assert type(mesh_oracle_radial(8, 0.3)) is float
+        expected = [scalar_mesh_oracle_radial(8, a) for a in (0.1, 0.2)]
+        assert mesh_oracle_radial(8, [0.1, 0.2]) == pytest.approx(expected, rel=0, abs=1e-15)
         for bad in (np.array([0.1, math.nan]), math.inf):
             with pytest.raises(ValueError, match="first sector"):
                 mesh_oracle_radial(8, bad)

@@ -1,24 +1,21 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import straightnet
 
+ROOT = Path(__file__).resolve().parent.parent
+
 PUBLIC_NAMES = [
     "GridSpec",
     "NetworkGraph",
     "RadialSpec",
-    "Series",
-    "analytic_curve",
-    "dominance_fraction",
     "generate_radioconcentric",
     "generate_rectilinear",
-    "geodesics",
     "load_graph",
-    "render_svg",
-    "run_all_checks",
     "save_graph",
     "straightness_radial",
     "straightness_rectilinear",
@@ -31,12 +28,24 @@ PUBLIC_NAMES = [
 
 # helpers kept out of the package root, each importable from its module
 MODULE_NAMES = {
-    "analytic": ["canonicalize", "mesh_oracle_radial", "sector_angle"],
+    "analytic": [
+        "analytic_curve",
+        "canonicalize",
+        "dominance_fraction",
+        "mesh_oracle_radial",
+        "sector_angle",
+    ],
     "model": ["graph_from_json", "graph_to_json"],
-    "svgplot": ["write_svg"],
+    "shortest_paths": ["geodesics"],
+    "svgplot": ["Series", "render_svg", "write_svg"],
     "sweeps": ["DEFAULT_SWEEP_SUBDIVISION"],
     "tables": ["plot_series", "read_table"],
-    "validation": ["CheckResult", "center_curve_check", "center_radial_check"],
+    "validation": [
+        "CheckResult",
+        "center_curve_check",
+        "center_radial_check",
+        "run_all_checks",
+    ],
 }
 
 
@@ -72,14 +81,34 @@ def test_graph_surface_is_pinned():
     assert sorted(public) == GRAPH_ATTRIBUTES
 
 
-def test_import_loads_no_network_or_mail_modules():
-    # each of these costs every command's start-up time; xml.sax.saxutils, for
-    # one, pulls in all four (about 27 ms on a 2-core machine)
-    code = "import sys, straightnet, straightnet.cli; print(*sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+def fresh_modules(code):
+    """The names in ``sys.modules`` that ``code`` prints from a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_network_or_mail_modules():
+    # each of these costs every command's start-up time; xml.sax.saxutils, for
+    # one, pulls in all four (about 27 ms on a 2-core machine)
+    loaded = fresh_modules("import sys, straightnet, straightnet.cli; print(*sys.modules)")
     assert loaded.isdisjoint({"urllib.request", "http.client", "ssl", "email"})
+
+
+def test_root_import_loads_only_the_study():
+    # the computation core does not depend on the chart, self-check, table or CLI layers
+    loaded = fresh_modules("import sys, straightnet; print(*sys.modules)")
+    layers = {"svgplot", "validation", "tables", "cli"}
+    assert loaded.isdisjoint({f"straightnet.{name}" for name in layers})
+
+
+def test_readme_names_the_root_api():
+    text = (ROOT / "README.md").read_text()
+    count, names = re.search(
+        r"^The package root exports (\d+) names:(.*?)Helpers such as", text, re.S | re.M
+    ).groups()
+    assert int(count) == len(straightnet.__all__)
+    assert sorted(re.findall(r"`(\w+)`", names)) == sorted(straightnet.__all__)

@@ -15,7 +15,6 @@ from straightnet import (
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
-    geodesics,
     metrics,
     shortest_paths,
     straightness_rows,
@@ -23,6 +22,7 @@ from straightnet import (
     tables,
 )
 from straightnet.model import graph_from_json, graph_to_json
+from straightnet.shortest_paths import geodesics
 from straightnet.tables import read_table, write_pairs_csv
 from straightnet.validation import center_curve_check, center_radial_check
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from straightnet import (
     GridSpec,
@@ -10,9 +12,10 @@ from straightnet import (
     RadialSpec,
     generate_radioconcentric,
     generate_rectilinear,
-    geodesics,
     shortest_paths,
+    straightness_rows,
 )
+from straightnet.shortest_paths import geodesics
 
 import oracles
 from oracles import all_pairs, grid_node_id, ring_node_id
@@ -145,6 +148,37 @@ class TestAgainstHeapDijkstra:
             for m in range(1, 6):
                 graph = generate_radioconcentric(RadialSpec(k, m, 4))
                 assert_same_rows(graph, orbit_sources(graph))
+
+
+def assert_exact_geodesics(graph, expected):
+    got = np.vstack([d_geodesic for _, _, _, d_geodesic, _ in straightness_rows(graph)])
+    assert np.abs(got - expected).max() <= 1e-12
+
+
+class TestExactGeodesics:
+    """Every pair of the sweep hosts has the geodesic its geometry gives.
+
+    Every cell of the default sweeps and of the 1..30 grid sweep is an
+    isometric subgraph of one of these hosts.
+    """
+
+    @pytest.mark.parametrize("k", range(3, 21))
+    def test_default_radial_hosts(self, k):
+        graph = generate_radioconcentric(RadialSpec(k, 5, 4))
+        assert_exact_geodesics(graph, oracles.exact_wheel_distances(k, 5, 4))
+
+    @pytest.mark.parametrize("size", [29, 30])
+    def test_grid_hosts(self, size):
+        graph = generate_rectilinear(GridSpec(size))
+        assert_exact_geodesics(graph, oracles.exact_grid_distances(size))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 12), st.integers(1, 4), st.integers(1, 4), st.integers(1, 20))
+    def test_any_wheel_and_grid(self, k, m, q, size):
+        wheel = generate_radioconcentric(RadialSpec(k, m, q))
+        assert_exact_geodesics(wheel, oracles.exact_wheel_distances(k, m, q))
+        grid = generate_rectilinear(GridSpec(size))
+        assert_exact_geodesics(grid, oracles.exact_grid_distances(size))
 
 
 class TestAllPairs:

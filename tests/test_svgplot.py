@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from straightnet import Series, analytic_curve, render_svg
+from straightnet.analytic import analytic_curve
 from straightnet.cli import main
 from straightnet.svgplot import (
     HEIGHT,
@@ -16,6 +16,8 @@ from straightnet.svgplot import (
     MARGIN_RIGHT,
     MARGIN_TOP,
     WIDTH,
+    Series,
+    render_svg,
     write_svg,
 )
 from straightnet.tables import plot_series

@@ -118,6 +118,15 @@ class TestRadialSweep:
         meshed = sweep_radial([4], [1])[0].summary.mean
         assert meshed < sparse  # intermediate destinations force detours
 
+    def test_sweep_matches_the_exact_wheel_geodesics(self):
+        # A6's sweep, checked against geodesics that come from no path search
+        for result in sweep_radial(range(3, 21), range(1, 6)):
+            k, m = result.parameters["radii"], result.parameters["rings"]
+            pairs, mean, std_dev = oracles.exact_wheel_summary(k, m, DEFAULT_SWEEP_SUBDIVISION)
+            assert (result.summary.pair_count, result.summary.skipped_pairs) == (pairs, 0)
+            assert abs(result.summary.mean - mean) <= 1e-12
+            assert abs(result.summary.std_dev - std_dev) <= 1e-12
+
     def test_invalid_radii_propagates(self, monkeypatch):
         calls = record_summaries(monkeypatch)
         with pytest.raises(ValueError, match="radii_count"):
