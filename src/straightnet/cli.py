@@ -18,7 +18,7 @@ from .generators import (
     generate_radioconcentric,
     generate_rectilinear,
 )
-from .metrics import straightness_rows, summarize
+from .metrics import summarize, summarize_moments
 from .model import load_graph, save_graph
 from .svgplot import Series, render_svg, write_svg
 from .sweeps import DEFAULT_SWEEP_SUBDIVISION, sweep_radial, sweep_rectilinear
@@ -143,10 +143,10 @@ def _cmd_sweep_radial(args) -> int:
 
 def _cmd_straightness(args) -> int:
     graph = load_graph(args.graph)
-    rows = None  # orbit representatives; the pair table needs every node
-    if args.pairs_csv:
-        rows = write_pairs_csv(args.pairs_csv, straightness_rows(graph))
-    summary = summarize(graph, strict=args.strict, rows=rows)
+    if args.pairs_csv:  # every node's row, not one per orbit
+        summary = summarize_moments(graph, write_pairs_csv(args.pairs_csv, graph), args.strict)
+    else:
+        summary = summarize(graph, strict=args.strict)
     print(f"nodes:   {graph.node_count}")
     print(f"edges:   {graph.edge_count}")
     print(f"pairs:   {summary.pair_count}")

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .model import NetworkGraph
-from .shortest_paths import geodesics
+from .shortest_paths import geodesic_blocks
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,18 @@ class StraightnessSummary:
     skipped_pairs: int
 
 
-# Most geodesic work one command may start, in units of sources x (N + E). A unit
-# took 65-130 ns on 2 cores on the benchmark's graphs (35-70 s in all), but up to
-# 0.8 us where shortest paths have many hops (a fixed cost per round, one per hop).
+# Most geodesic work one command may start, in units of sources x (N + E). On 2 cores
+# a unit took 57-69 ns on grids of side 30-100 and the street graph (side 31), about
+# 35 s for the whole budget.  A relaxation round, one per hop, also costs about 55 us
+# whatever its frontier, so long-hop graphs cost more: 114 ns per unit (18,700 rounds)
+# on RadialSpec(3, 1000, 1), up to 0.8 us.  The pair dump adds the table: 144 ns per
+# unit in all for the street graph on two ranges, 180 ns on one.
 MAX_WORK = 2**29
+
+# Values per array of one block of rows (256 KB): the pair dump is as fast as with
+# whole geodesic chunks (2**17) and keeps the parent's peak RSS, and grid sizes
+# 1..30 sweep within 2.7 MB, where 2**16 takes 3.7 MB.
+BLOCK_ENTRIES = 1 << 15
 
 # A ratio too small for a float (crow-flies distance below about 5e-324 times the
 # route) reads as the smallest positive float, so no pair at distinct positions
@@ -49,35 +57,58 @@ def check_work(sources: int, nodes: int, edges: int, spent: int = 0) -> int:
 def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
     """``(source, weight, d_spatial, d_geodesic, straightness)`` per source.
 
-    One :func:`geodesics` batch over the ``(source, weight)`` pairs in
+    One :func:`geodesic_blocks` batch over the ``(source, weight)`` pairs in
     ``sources`` (default: every node, weight 1).  Arrays run over all
     targets; straightness is ``nan`` for unreachable or co-located pairs,
     so always at the source itself, and otherwise in ``(0, 1]`` up to
     rounding.  The call checks the batch's work.
     """
+    blocks = straightness_blocks(graph, sources)
+    return (row for ids, w, *arrays in blocks for row in zip(ids.tolist(), w.tolist(), *arrays))
+
+
+def straightness_blocks(graph: NetworkGraph, sources=None, parts: int = 1) -> Iterator[tuple]:
+    """:func:`straightness_rows` as ``(sources, weights, d_spatial, d_geodesic,
+    straightness)`` blocks of ``BLOCK_ENTRIES // N`` rows (at least one), sliced from
+    the :func:`geodesic_blocks` chunks (``parts`` is passed on).  Checked when called."""
     sources = [(v, 1) for v in range(graph.node_count)] if sources is None else list(sources)
     check_work(len(sources), graph.node_count, graph.edge_count)
-    return _rows(graph, sources, geodesics(graph, [s for s, _ in sources]))
+    return _blocks(graph, sources, geodesic_blocks(graph, [s for s, _ in sources], parts))
 
 
-def _rows(graph: NetworkGraph, sources: list, found: Iterator) -> Iterator[tuple]:
-    for (source, weight), d_g in zip(sources, found):  # sources first: no later row read
-        d_s = np.hypot(*(graph.positions - graph.positions[source]).T)
-        ratio = np.full(len(d_g), math.nan)
-        np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))
-        np.maximum(ratio, SMALLEST_RATIO, out=ratio)  # nan stays nan
-        yield source, weight, d_s, d_g, ratio
+def _blocks(graph: NetworkGraph, sources: list, chunks: Iterator) -> Iterator[tuple]:
+    rows, done, (x, y) = max(1, BLOCK_ENTRIES // max(graph.node_count, 1)), 0, graph.positions.T
+    for chunk in chunks:  # the search checks every id before its first chunk
+        for d_g in (chunk[i : i + rows] for i in range(0, len(chunk), rows)):
+            ids, weights = np.array(sources[done : done + len(d_g)], dtype=np.intp).T
+            done += len(d_g)
+            dx = x - x[ids, None]
+            d_s = np.hypot(dx, y - y[ids, None], out=dx)
+            ratio = np.full(d_g.shape, math.nan)
+            np.divide(d_s, d_g, out=ratio, where=np.isfinite(d_g) & (d_s > 0.0))
+            np.maximum(ratio, SMALLEST_RATIO, out=ratio)  # nan stays nan
+            yield ids, weights, d_s, d_g, ratio
 
 
-def _moments(weight: int, ratio: np.ndarray) -> tuple:
-    """``(weight, count, sum, centred square sum)`` of one row's measured ratios."""
-    row = ratio[~np.isnan(ratio)]
-    total = float(row.sum())
-    return weight, len(row), total, float(((row - total / max(len(row), 1)) ** 2).sum())
+def block_moments(weights, ratio: np.ndarray) -> list[tuple]:
+    """``(weight, count, sum, centred square sum)`` of each row's measured ratios.
+
+    The rows with c measured (not ``nan``) ratios are reduced as one C-contiguous
+    (rows, c) array: numpy sums each row pairwise as alone, so bit for bit as alone."""
+    kept = ~np.isnan(ratio)
+    counts = kept.sum(axis=1)
+    sums, squares = np.zeros(len(ratio)), np.zeros(len(ratio))
+    for c in set(counts.tolist()) - {0}:  # reshape(-1, 0) would raise; np.unique loads numpy.ma
+        rows = np.flatnonzero(counts == c)  # often every row: then the block is not copied
+        values = (ratio[rows][kept[rows]] if len(rows) < len(ratio) else ratio[kept]).reshape(-1, c)
+        sums[rows] = values.sum(axis=1)
+        values -= sums[rows, None] / c
+        squares[rows] = np.square(values, out=values).sum(axis=1)
+    return list(zip(np.asarray(weights).tolist(), counts.tolist(), sums.tolist(), squares.tolist()))
 
 
 def _fold(n: int, moments: Iterable[tuple]) -> StraightnessSummary:
-    """Summary of ``n`` nodes from their rows' :func:`_moments`, merged in order as by
+    """Summary of ``n`` nodes from their rows' :func:`block_moments`, merged in order as by
     Chan et al., so repeated runs are bit-identical; ordered counts are halved."""
     rows = list(moments)
     if not (kept := sum(w * c for w, c, _, _ in rows)):
@@ -89,7 +120,7 @@ def _fold(n: int, moments: Iterable[tuple]) -> StraightnessSummary:
 
 
 def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[StraightnessSummary]:
-    """The summary of each cell from one :func:`straightness_rows` batch over the orbits
+    """The summary of each cell from one :func:`straightness_blocks` batch over the orbits
     of ``host``, which checks that batch's work.
 
     A cell is the isometric subgraph on increasing host ids that every symmetry of
@@ -97,10 +128,10 @@ def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[Straig
     ids is its own row: a row joins every cell that holds its source, with its weight."""
     held = [np.bincount(ids, minlength=host.node_count).astype(bool) for ids in cells]
     moments = [[] for _ in cells]
-    for source, weight, _, _, ratio in straightness_rows(host, host.orbits):
+    for sources, weights, _, _, ratio in straightness_blocks(host, host.orbits):
         for ids, has, rows in zip(cells, held, moments):  # each ratio depends on its own pair
-            if has[source]:
-                rows.append(_moments(weight, ratio[ids]))
+            inside = np.flatnonzero(has[sources])
+            rows += block_moments(weights[inside], ratio[np.ix_(inside, ids)])
     return [_fold(len(ids), rows) for ids, rows in zip(cells, moments)]
 
 
@@ -109,15 +140,33 @@ def summarize(
 ) -> StraightnessSummary:
     """Mean and standard deviation of straightness over all node pairs.
 
-    Folds :func:`straightness_rows`, by default one per orbit of the graph's
-    symmetry group, weighted by orbit size: a symmetry preserves both
+    Folds :func:`straightness_blocks`, by default one row per orbit of the
+    graph's symmetry group, weighted by orbit size: a symmetry preserves both
     distances, so every node of an orbit sees the same values.  ``rows``
-    replaces them, e.g. with a pair-table writer over every node's row
-    (weights summing to N), and :func:`_fold` merges them.
+    replaces them with rows such as :func:`straightness_rows` yields, each
+    folded on its own, and :func:`summarize_moments` checks and folds.
+    """
+    return summarize_moments(graph, _moments(graph, rows), strict)
+
+
+def _moments(graph: NetworkGraph, rows: Iterable[tuple] | None) -> Iterator[tuple]:
+    if rows is None:  # the batch starts only once the checks have passed
+        for _, weights, _, _, ratio in straightness_blocks(graph, graph.orbits):
+            yield from block_moments(weights, ratio)
+    else:
+        for _, weight, _, _, ratio in rows:
+            yield from block_moments([weight], np.reshape(ratio, (1, -1)))
+
+
+def summarize_moments(
+    graph: NetworkGraph, moments: Iterable[tuple], strict: bool = False
+) -> StraightnessSummary:
+    """The summary of ``graph`` from the :func:`block_moments` of rows whose weights
+    sum to N, as the pair-table writer yields them, merged by :func:`_fold`.
 
     Positions are distinct and path lengths finite, so the skipped pairs are
     those between connected components.  With ``strict`` a graph that has
-    any raises, as does a graph without edges, before ``rows`` is read.
+    any raises, as does a graph without edges, before ``moments`` is read.
     """
     n = graph.node_count
     if n < 2:
@@ -128,5 +177,4 @@ def summarize(
             raise ValueError(f"{crossing} pair(s) unreachable or co-located")
     if graph.edge_count == 0:
         raise ValueError("no measurable pair in graph")
-    rows = straightness_rows(graph, graph.orbits) if rows is None else rows
-    return _fold(n, (_moments(weight, ratio) for _, weight, _, _, ratio in rows))
+    return _fold(n, moments)

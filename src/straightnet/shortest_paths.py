@@ -26,11 +26,20 @@ def _arcs(graph: NetworkGraph) -> tuple[np.ndarray, ...]:
 
 
 def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarray]:
+    """The rows of :func:`geodesic_blocks`, one per source, in order."""
+    for block in geodesic_blocks(graph, sources):
+        yield from block
+
+
+def geodesic_blocks(
+    graph: NetworkGraph, sources: Iterable[int], parts: int = 1
+) -> Iterator[np.ndarray]:
     """Shortest-path distances from each of ``sources`` under edge-length weights.
 
-    Yields one float64 row per source, in order, ``inf`` for unreachable
-    nodes.  Every id is checked before the first row: a non-integer (even a
-    ``bool``) or one outside ``0..N-1`` raises.
+    Yields one float64 (sources, N) block per chunk of ``CHUNK_ENTRIES // parts``
+    labels (at least one row), in order, ``inf`` for unreachable nodes.  Every id
+    is checked before the first block: a non-integer (even a ``bool``) or one
+    outside ``0..N-1`` raises.
 
     Each chunk runs one Bellman-Ford-Moore relaxation that pushes from the labels the
     last round lowered.  Lengths are non-negative, so ``fl(d + w)`` is monotone in ``d``
@@ -44,7 +53,7 @@ def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarra
         if not 0 <= source < n:
             raise ValueError(f"source id {source} outside 0..{n - 1}")
     degree, offset, length = _arcs(graph)
-    first, step = np.cumsum(degree) - degree, max(1, CHUNK_ENTRIES // max(n, 1))
+    first, step = np.cumsum(degree) - degree, max(1, CHUNK_ENTRIES // parts // max(n, 1))
     for start in range(0, len(sources), step):
         chunk = sources[start : start + step]
         labels = np.full(len(chunk) * n, np.inf)
@@ -65,4 +74,4 @@ def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarra
                 lowered[head] = True
                 changed = np.flatnonzero(lowered)
                 lowered[changed] = False
-        yield from labels.reshape(-1, n)
+        yield labels.reshape(-1, n)

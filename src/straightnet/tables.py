@@ -12,13 +12,21 @@ falls back to ``%`` one value at a time where that could differ.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import shutil
+import tempfile
+import threading
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import shortest_paths
+from .metrics import block_moments, check_work, straightness_blocks
+from .model import NetworkGraph
 from .svgplot import Series
 
 CURVE_HEADER = ["alpha", "straightness", "network", "k"]
@@ -29,6 +37,16 @@ PAIRS_HEADER = ["u", "v", "d_spatial", "d_geodesic", "straightness"]
 # Pairs formatted and written at once, about 1.5 MB of text, so memory stays flat while
 # numpy's per-call cost spreads over ~2**14 rows instead of one source's few hundred.
 CHUNK_PAIRS = 1 << 14
+
+# Most source ranges a pair dump runs at once, one thread each, each with 1/K of
+# CHUNK_ENTRIES and CHUNK_PAIRS.  Relaxing and formatting are numpy calls that mostly
+# release the GIL: on 2 cores the street graph (side 31) dumped in 0.35 s on two
+# ranges and 0.44 s on one.  More than two were not measured.
+MAX_RANGES = 2
+# Relaxing one source costs about as much as writing this many pairs per unit of
+# N + E: the street graph is cut at source 353 of 961, and its two ranges ended a
+# median 8 ms apart (6 runs); the equal-pairs cut at 282 left the second 94 ms behind.
+SOURCE_COST = 0.14
 
 _PAD = 0  # the byte that marks the unused end of a field, dropped before writing
 
@@ -80,44 +98,92 @@ def write_sweep_csv(path, results: Sequence) -> None:
             fh.write(template % (*r.parameters.values(), *values))
 
 
-def write_pairs_csv(path, rows: Iterable[tuple]) -> Iterator[tuple]:
-    """Pass :func:`~straightnet.metrics.straightness_rows` rows on, writing each.
-
-    ``path`` is opened when the first row is asked for.  Source ``u`` adds
-    its ``v > u`` pairs, so rows of every node in id order give all pairs.
-    Pairs are written once ``CHUNK_PAIRS`` are held, and at the end.
+def write_pairs_csv(path, graph: NetworkGraph) -> Iterator[tuple]:
+    """Write the ``v > u`` pairs of every node ``u`` of ``graph`` in ``(u, v)`` order and
+    yield its rows' :func:`~straightnet.metrics.block_moments` in id order, for
+    :func:`~straightnet.metrics.summarize_moments`.  The call checks the work of all
+    N sources; nothing is opened until the first moment is asked for.  The sources
+    run as :func:`_cuts` ranges, each after the first on its own thread and into its
+    own temporary file, and the table replaces ``path`` only once it is complete.
     """
-    with Path(path).open("wb") as fh:
-        fh.write(",".join(PAIRS_HEADER).encode() + b"\n")
-        held, count = [], 0  # (u, its d_spatial, d_geodesic and straightness tails)
-        for row in rows:
-            u, _, *columns = row
-            tails = [c[u + 1 :].copy() for c in columns]  # copied: a row may be a view
-            held.append((u, *tails))
-            count += len(tails[0])
-            if count >= CHUNK_PAIRS:
-                fh.write(_pair_lines(held))
-                held, count = [], 0
-            yield row
-        if count:
-            fh.write(_pair_lines(held))
+    check_work(graph.node_count, graph.node_count, graph.edge_count)
+    return _dump(Path(path).resolve(), graph)  # a link's target is replaced, not the link
 
 
-def _pair_lines(held: list[tuple]) -> bytes:
-    """The table lines of ``(u, d_spatial, d_geodesic, straightness)`` tails."""
-    sources, *columns = zip(*held)
-    sources, lengths = np.array(sources), [len(tail) for tail in columns[0]]
-    first = np.cumsum([0, *lengths[:-1]])  # each source's first pair
-    v = np.arange(sum(lengths)) + np.repeat(sources + 1 - first, lengths)
-    floats = [_floats(np.concatenate(c), d) for c, d in zip(columns, (12, 12, 9))]
-    return _lines([np.repeat(_integers(sources), lengths, axis=1), _integers(v), *floats])
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _dump(path: Path, graph: NetworkGraph) -> Iterator[tuple]:
+    n = graph.node_count
+    parts = min(MAX_RANGES, usable_cpus()) if n * n > shortest_paths.CHUNK_ENTRIES else 1
+    cuts, moments, errors = _cuts(n, graph.edge_count, parts), [[] for _ in range(parts)], []
+
+    def run(i: int, out) -> None:
+        sources = [(u, 1) for u in range(cuts[i], cuts[i + 1])]
+        try:
+            for block in straightness_blocks(graph, sources, parts):
+                if errors:  # another range failed
+                    return
+                out.writelines(_pair_lines(block, max(1, CHUNK_PAIRS // parts)))
+                moments[i] += block_moments(block[1], block[4])
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
+    fh = part.open("xb")
+    try:
+        with fh, contextlib.ExitStack() as stack:
+            outs = [fh, *(stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[2:])]
+            fh.write(",".join(PAIRS_HEADER).encode() + b"\n")
+            threads = [threading.Thread(target=run, args=(i, outs[i])) for i in range(1, parts)]
+            for thread in threads:
+                thread.start()
+            run(0, fh)
+            for thread in threads:
+                thread.join()
+            if errors:
+                raise errors[0]
+            for spill in outs[1:]:
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh)
+        part.replace(path)
+    except BaseException:
+        part.unlink()
+        raise
+    for share in moments:
+        yield from share
+
+
+def _cuts(nodes: int, edges: int, parts: int) -> list[int]:
+    """Bounds of ``parts`` source ranges that take about as long: source u writes
+    N - 1 - u pairs and relaxes as long as writing SOURCE_COST * (N + E) pairs takes."""
+    cost = np.cumsum(nodes - 1 - np.arange(nodes) + SOURCE_COST * (nodes + edges))
+    cuts = np.searchsorted(cost, cost[-1] * np.arange(1, parts) / parts) + 1  # none empty
+    return [0, *cuts.tolist(), nodes]
+
+
+def _pair_lines(block: tuple, limit: int) -> Iterator[bytes]:
+    """The table lines of a block's ``v > u`` pairs, about ``limit`` pairs at a time."""
+    u, _, *columns = block  # d_spatial, d_geodesic, straightness
+    above = np.arange(columns[0].shape[1]) > u[:, None]
+    ends = np.cumsum(above.sum(axis=1))
+    bounds = [0, *(np.searchsorted(ends, np.arange(limit, ends[-1], limit)) + 1).tolist(), len(u)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if (pairs := above[lo:hi]).any():
+            floats = [_floats(c[lo:hi][pairs], d) for c, d in zip(columns, (12, 12, 9))]
+            u_words = np.repeat(_integers(u[lo:hi]), pairs.sum(axis=1), axis=1)
+            yield _lines([u_words, _integers(np.nonzero(pairs)[1]), *floats])
 
 
 def _lines(fields: list[np.ndarray]) -> bytes:
     """Comma-separated lines of columns of 4-byte words, without their ``_PAD`` bytes."""
-    comma, newline = (np.full((1, fields[0].shape[1]), ord(c), np.uint32) for c in ",\n")
-    words = np.vstack([*(w for f in fields[:-1] for w in (f, comma)), fields[-1], newline])
-    text = words.T.ravel().view(np.uint8)  # row by row
+    comma, newline = (np.full((fields[0].shape[1], 1), ord(c), np.uint32) for c in ",\n")
+    words = [*(w for f in fields[:-1] for w in (f.T, comma)), fields[-1].T, newline]
+    text = np.concatenate(words, axis=1).ravel().view(np.uint8)  # row by row
     return text[text != _PAD].tobytes()
 
 

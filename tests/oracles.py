@@ -9,7 +9,8 @@ with no path search at all, and ``exact_grid_distances`` and
 ``exact_wheel_distances`` are the two families' all-pairs geodesics from
 their geometry alone (``exact_wheel_summary`` aggregates the wheel's).
 ``two_pass_summary`` is the aggregate that keeps every row, which the
-one-pass fold of per-row moments must match.
+one-pass fold of per-row moments must match, and ``row_moments`` the
+moments of one row alone, which the block fold must equal bit for bit.
 ``all_pairs`` and ``pair_straightness`` are the plain per-pair path the
 library's row kernel is checked against (its fields formatted by
 ``format_angle``/``format_ratio``).  ``loop_pairs_csv`` is the pair-table
@@ -181,6 +182,14 @@ def exact_wheel_summary(k, m, q):
     u, v = np.triu_indices(len(ring), 1)
     value = np.hypot(x[u] - x[v], y[u] - y[v]) / exact_wheel_distances(k, m, q)[u, v]
     return len(value), float(value.mean()), float(value.std())
+
+
+def row_moments(weight, ratio):
+    """``(weight, count, sum, centred square sum)`` of one row's measured ratios, the
+    row alone: the per-row reference that ``metrics.block_moments`` must equal."""
+    row = ratio[~np.isnan(ratio)]
+    total = float(row.sum())
+    return weight, len(row), total, float(((row - total / max(len(row), 1)) ** 2).sum())
 
 
 def two_pass_summary(graph, rows):

@@ -35,11 +35,12 @@ MODULE_NAMES = {
         "mesh_oracle_radial",
         "sector_angle",
     ],
+    "metrics": ["block_moments", "straightness_blocks", "summarize_moments"],
     "model": ["graph_from_json", "graph_to_json"],
-    "shortest_paths": ["geodesics"],
+    "shortest_paths": ["geodesic_blocks", "geodesics"],
     "svgplot": ["Series", "render_svg", "write_svg"],
     "sweeps": ["DEFAULT_SWEEP_SUBDIVISION"],
-    "tables": ["plot_series", "read_table"],
+    "tables": ["plot_series", "read_table", "usable_cpus", "write_pairs_csv"],
     "validation": [
         "CheckResult",
         "center_curve_check",
@@ -93,9 +94,11 @@ def fresh_modules(code):
 
 def test_import_loads_no_network_or_mail_modules():
     # each of these costs every command's start-up time; xml.sax.saxutils, for
-    # one, pulls in all four (about 27 ms on a 2-core machine)
+    # one, pulls in all four (about 27 ms on a 2-core machine), and
+    # concurrent.futures about 4 ms where the pair dump's plain threads need none
     loaded = fresh_modules("import sys, straightnet, straightnet.cli; print(*sys.modules)")
-    assert loaded.isdisjoint({"urllib.request", "http.client", "ssl", "email"})
+    unwanted = {"urllib.request", "http.client", "ssl", "email", "concurrent.futures"}
+    assert loaded.isdisjoint(unwanted)
 
 
 def test_root_import_loads_only_the_study():

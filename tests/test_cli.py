@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from straightnet import GridSpec, generate_rectilinear, load_graph, summarize
 from straightnet.analytic import MAX_CURVE_SAMPLES
 from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
-from straightnet.shortest_paths import geodesics
+from straightnet.shortest_paths import geodesic_blocks
 from straightnet.tables import read_table
 
 
@@ -470,6 +471,63 @@ class TestStraightness:
         assert captured.out == ""
         assert not pairs_path.exists()
 
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            (OSError(28, "No space left"), 3, "I/O error: [Errno 28] No space left"),
+            (ValueError("made-up refusal"), 1, "made-up refusal"),
+        ],
+    )
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first range", "second range"])
+    @pytest.mark.parametrize("earlier", [None, b"an earlier table\n"], ids=["new", "replaced"])
+    def test_failed_dump_leaves_no_table(
+        self, tmp_path, monkeypatch, capsys, error, code, message, failing, earlier
+    ):
+        # a range that fails after writing a block: the path keeps what it held, and
+        # neither a part file nor a thread is left behind
+        from straightnet import shortest_paths, tables
+
+        graph_path, pairs_path = tmp_path / "grid.json", tmp_path / "pairs.csv"
+        run_cli("gen", "rect", "--size", 9, "--out", graph_path)
+        if earlier is not None:
+            pairs_path.write_bytes(earlier)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 10 * 100)  # 10 chunks
+        monkeypatch.setattr(tables, "usable_cpus", lambda: 2)
+        blocks, ranges = tables.straightness_blocks, []
+
+        def kernel(graph, sources, *rest):
+            ranges.append(sources[0][0])
+            found = blocks(graph, sources, *rest)
+            if (sources[0][0] > 0) != failing:
+                return found
+
+            def broken():
+                yield next(found)
+                raise error
+
+            return broken()
+
+        monkeypatch.setattr(tables, "straightness_blocks", kernel)
+        running = threading.active_count()
+        capsys.readouterr()
+        assert run_cli("straightness", graph_path, "--pairs-csv", pairs_path) == code
+        assert capsys.readouterr() == ("", f"straightnet: {message}\n")
+        assert threading.active_count() == running and len(ranges) == 2 and min(ranges) == 0
+        if earlier is None:
+            assert not pairs_path.exists()
+        else:
+            assert pairs_path.read_bytes() == earlier
+        left = ["grid.json", "pairs.csv"][: 1 + bool(earlier)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+    def test_dump_through_a_link_writes_its_target(self, tmp_path):
+        graph_path, target, link = tmp_path / "grid.json", tmp_path / "t.csv", tmp_path / "l.csv"
+        run_cli("gen", "rect", "--size", 2, "--out", graph_path)
+        target.write_bytes(b"an earlier table\n")
+        link.symlink_to(target)
+        assert run_cli("straightness", graph_path, "--pairs-csv", link) == 0
+        assert link.is_symlink() and target.read_bytes().count(b"\n") == 1 + 9 * 8 // 2
+
     def test_dump_runs_geodesics_from_every_node(self, tmp_path, monkeypatch):
         from straightnet import metrics, shortest_paths
 
@@ -477,12 +535,12 @@ class TestStraightness:
         run_cli("gen", "rect", "--size", 5, "--out", graph_path)
         calls = []
 
-        def spy(graph, sources):
+        def spy(graph, sources, *parts):
             calls.append(list(sources))
-            return geodesics(graph, calls[-1])
+            return geodesic_blocks(graph, calls[-1], *parts)
 
         for module in (metrics, shortest_paths):  # every binding of the one search entry
-            monkeypatch.setattr(module, "geodesics", spy)
+            monkeypatch.setattr(module, "geodesic_blocks", spy)
         assert run_cli("straightness", graph_path, "--pairs-csv", tmp_path / "p.csv") == 0
         assert calls == [list(range(36))]
 
@@ -511,11 +569,11 @@ class TestValidate:
 
         batches = []
 
-        def spy(graph, sources):
+        def spy(graph, sources, *parts):
             batches.append(list(sources))
-            return geodesics(graph, batches[-1])
+            return geodesic_blocks(graph, batches[-1], *parts)
 
-        monkeypatch.setattr(metrics, "geodesics", spy)
+        monkeypatch.setattr(metrics, "geodesic_blocks", spy)
         names = [r.name for r in validation.run_all_checks()]
         assert batches == [[0], [0]]  # grid s=10 and the (8, 3, 4) wheel
         assert names[-3:] == [

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -19,10 +20,13 @@ from straightnet import (
     shortest_paths,
     straightness_rows,
     summarize,
+    sweep_radial,
+    sweep_rectilinear,
     tables,
 )
 from straightnet.model import graph_from_json, graph_to_json
-from straightnet.shortest_paths import geodesics
+from straightnet.metrics import block_moments, straightness_blocks, summarize_moments
+from straightnet.shortest_paths import geodesic_blocks, geodesics
 from straightnet.tables import read_table, write_pairs_csv
 from straightnet.validation import center_curve_check, center_radial_check
 
@@ -163,7 +167,7 @@ class TestWorkBudget:
     def test_rows_are_refused_when_called(self, monkeypatch):
         g = generate_rectilinear(GridSpec(2))  # 9 nodes, 12 edges
         monkeypatch.setattr(metrics, "MAX_WORK", 9 * 21 - 1)
-        monkeypatch.setattr(metrics, "geodesics", None)  # any search would fail
+        monkeypatch.setattr(metrics, "geodesic_blocks", None)  # any search would fail
         with pytest.raises(ValueError, match=r"^189 units of geodesic work, more than MAX_WORK=188$"):
             straightness_rows(g)  # the iterator is never advanced
         with pytest.raises(ValueError, match="^189 units"):
@@ -183,14 +187,14 @@ def assert_same_summary(orbit, generic):
 
 
 def spy_searches(monkeypatch):
-    """Record the sources of each batch that goes through ``metrics.geodesics``."""
+    """Record the sources of each batch that goes through ``metrics.geodesic_blocks``."""
     calls = []
 
-    def spy(graph, sources):
+    def spy(graph, sources, *parts):
         calls.append(list(sources))
-        return geodesics(graph, calls[-1])
+        return geodesic_blocks(graph, calls[-1], *parts)
 
-    monkeypatch.setattr(metrics, "geodesics", spy)
+    monkeypatch.setattr(metrics, "geodesic_blocks", spy)
     return calls
 
 
@@ -252,7 +256,7 @@ class TestInvariance:
     def test_pair_enumeration_is_canonical(self, tmp_path):
         g = generate_rectilinear(GridSpec(2))
         path = tmp_path / "pairs.csv"
-        summarize(g, rows=write_pairs_csv(path, straightness_rows(g)))
+        summarize_moments(g, write_pairs_csv(path, g))
         _, rows = read_table(path)
         pairs = [(int(r["u"]), int(r["v"])) for r in rows]
         assert pairs == [(u, v) for u in range(9) for v in range(u + 1, 9)]
@@ -420,16 +424,32 @@ class TestOnePassFold:
         assert peak < 48e6
 
 
-def dump_pairs(graph, path, writer=write_pairs_csv):
-    """The pair table the ``straightness --pairs-csv`` command writes."""
-    summary = summarize(graph, rows=writer(path, straightness_rows(graph)))
+def dump_pairs(graph, path):
+    """The summary and pair table of the ``straightness --pairs-csv`` command."""
+    summary = summarize_moments(graph, write_pairs_csv(path, graph))
     return summary, path.read_bytes()
 
 
-def assert_dump_is_the_loop_dump(graph, directory):
-    """``write_pairs_csv`` writes the bytes of the one-``%``-per-pair writer."""
-    expected = dump_pairs(graph, directory / "loop.csv", oracles.loop_pairs_csv)
-    assert dump_pairs(graph, directory / "pairs.csv") == expected
+def assert_dump_is_the_loop_dump(graph, directory, monkeypatch=None):
+    """``write_pairs_csv`` writes the bytes of the one-``%``-per-pair writer, and the
+    summary of its moments is the one of each row folded on its own.  With
+    ``monkeypatch`` the dump runs with one usable CPU and with two, so on one source
+    range and on two (the graph needs more than one geodesic chunk)."""
+    rows = oracles.loop_pairs_csv(directory / "loop.csv", straightness_rows(graph))
+    expected = summarize(graph, rows=rows), (directory / "loop.csv").read_bytes()
+    for cpus in (1, 2) if monkeypatch else (None,):
+        if monkeypatch:
+            monkeypatch.setattr(tables, "usable_cpus", lambda: cpus)
+            parts = []
+            monkeypatch.setattr(
+                tables,
+                "straightness_blocks",
+                lambda graph, sources, k: parts.append(k) or straightness_blocks(graph, sources, k),
+            )
+        assert dump_pairs(graph, directory / "pairs.csv") == expected
+        assert sorted(p.name for p in directory.iterdir()) == ["loop.csv", "pairs.csv"]
+        if monkeypatch:
+            assert parts == [cpus] * cpus  # each range is told how many run
 
 
 def jittered_street_graph(seed, side):
@@ -512,30 +532,72 @@ class TestPairDump:
     def test_random_graphs_dump_like_the_loop_writer(self, tmp_path_factory, case):
         assert_dump_is_the_loop_dump(NetworkGraph(*case), tmp_path_factory.mktemp("dump"))
 
-    def test_street_graph_dumps_like_the_loop_writer(self, tmp_path):
-        assert_dump_is_the_loop_dump(jittered_street_graph(1, 31), tmp_path)
+    def test_street_graph_dumps_like_the_loop_writer(self, monkeypatch, tmp_path):
+        assert_dump_is_the_loop_dump(jittered_street_graph(1, 31), tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("factor", [1e-9, 1e12])
-    def test_scaled_graphs_dump_like_the_loop_writer(self, tmp_path, factor):
+    def test_scaled_graphs_dump_like_the_loop_writer(self, monkeypatch, tmp_path, factor):
         # 1e-9: every distance in exponent notation; 1e12: exponents and
         # 12-digit integer parts, all written by the writer's fallback
-        assert_dump_is_the_loop_dump(scaled_copy(jittered_street_graph(2, 8), factor), tmp_path)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 7 * 64)  # 10 chunks of the 64 sources
+        graph = scaled_copy(jittered_street_graph(2, 8), factor)
+        assert_dump_is_the_loop_dump(graph, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("chunk", [301, 300, 299, 1])
     def test_dumps_across_chunks(self, monkeypatch, tmp_path, chunk):
         graph = jittered_street_graph(3, 5)
         assert graph.node_count * (graph.node_count - 1) // 2 == 300  # pairs
         monkeypatch.setattr(tables, "CHUNK_PAIRS", chunk)
-        assert_dump_is_the_loop_dump(graph, tmp_path)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 4 * 25)  # 7 chunks of the 25 sources
+        assert_dump_is_the_loop_dump(graph, tmp_path, monkeypatch)
 
-    def test_dump_memory_stays_flat(self, tmp_path):
+    def test_two_ranges_cut_inside_a_geodesic_chunk(self, monkeypatch, tmp_path):
+        graph = jittered_street_graph(5, 9)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 7 * 81)  # 7 sources per chunk
+        _, cut, end = tables._cuts(81, graph.edge_count, 2)
+        assert end == 81 and cut % 7  # range 1 starts inside the one-range layout's chunk
+        assert_dump_is_the_loop_dump(graph, tmp_path, monkeypatch)
+
+    def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch, tmp_path):
+        # four ranges on two cores, switching threads every 10 us: the ranges still
+        # append their lines and moments in source order
+        graph = jittered_street_graph(7, 12)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 3 * 144)
+        monkeypatch.setattr(tables, "MAX_RANGES", 4)
+        monkeypatch.setattr(tables, "usable_cpus", lambda: 4)
+        starts = []
+
+        def spy(graph, sources, k):
+            starts.append(sources[0][0])
+            return straightness_blocks(graph, sources, k)
+
+        monkeypatch.setattr(tables, "straightness_blocks", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert_dump_is_the_loop_dump(graph, tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(starts) == tables._cuts(144, graph.edge_count, 4)[:-1]  # four ranges
+
+    def test_isolated_nodes_dump_like_the_loop_writer(self, monkeypatch, tmp_path):
+        # an isolated node's row measures no pair (kept count 0), the others meet inf
+        street = jittered_street_graph(6, 7)
+        points = [(-5.0, -5.0), *street.positions.tolist(), (20.0, 3.0), (3.5, 30.0)]
+        graph = NetworkGraph(points, (street.edges + 1).tolist())
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 5 * 52)
+        assert {0, 50, 51} <= {v for v, size in graph.components() if size == 1}
+        assert_dump_is_the_loop_dump(graph, tmp_path, monkeypatch)
+
+    def test_dump_memory_stays_flat(self, monkeypatch, tmp_path):
         # 461,280 pairs.  Kept whole, the rows are 22 MB (3 float64 arrays of 961
-        # each per source) and the table text 16 MB; a chunk of 2**14
-        # pairs is about 1.5 MB of text and one geodesic chunk 1 MB.
+        # each per source) and the table text 16 MB; a write of 2**14 pairs is
+        # about 1.5 MB of text and one geodesic chunk 1 MB, halved for each of two ranges
         graph = generic_copy(generate_rectilinear(GridSpec(30)))
+        monkeypatch.setattr(tables, "usable_cpus", lambda: tables.MAX_RANGES)
         tracemalloc.start()
         try:
-            summarize(graph, rows=write_pairs_csv(tmp_path / "pairs.csv", straightness_rows(graph)))
+            summarize_moments(graph, write_pairs_csv(tmp_path / "pairs.csv", graph))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -545,8 +607,65 @@ class TestPairDump:
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
         path = tmp_path / "pairs.csv"
         with pytest.raises(ValueError, match="^2 pair"):
-            summarize(g, strict=True, rows=write_pairs_csv(path, straightness_rows(g)))
-        assert not path.exists()
+            summarize_moments(g, write_pairs_csv(path, g), strict=True)
+        assert not path.exists() and not list(tmp_path.iterdir())
+
+
+class TestThreads:
+    """Only a pair dump of more than one geodesic chunk starts a thread, and it ends
+    within the call."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        monkeypatch.setattr(tables, "usable_cpus", lambda: 2)
+        return started
+
+    def test_sweeps_start_none(self, started):
+        sweep_rectilinear(range(1, 31))  # the GridSpec(30) host: 130,696 labels, one chunk
+        sweep_radial(range(3, 21), range(1, 6))
+        assert started == []
+
+    @pytest.mark.parametrize("size, threads", [(18, 0), (19, 1)])
+    def test_only_dumps_past_one_chunk_start_one(self, started, tmp_path, size, threads):
+        # 361**2 = 130,321 labels fit one chunk of 2**17; 400**2 = 160,000 do not
+        graph = generic_copy(generate_rectilinear(GridSpec(size)))
+        running = threading.active_count()
+        dump_pairs(graph, tmp_path / "pairs.csv")
+        assert len(started) == threads and threading.active_count() == running
+
+
+class TestBlockMoments:
+    """The block fold gives every row the moments of the row summed alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_random_graphs(self, case, data):
+        points, edges = case
+        # a random subset of the edges often splits the graph, or leaves no edge
+        kept = data.draw(st.lists(st.sampled_from(edges), unique=True), label="kept")
+        graph = NetworkGraph(points, kept)
+        weights = st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points))
+        sources = list(enumerate(data.draw(weights, label="weights")))
+        entries = data.draw(st.integers(1, 2 * len(points) ** 2), label="entries")
+        with mock.patch.object(metrics, "BLOCK_ENTRIES", entries):
+            blocks = list(straightness_blocks(graph, sources))
+        for _, weight, _, _, ratio in blocks:
+            expected = [oracles.row_moments(w, r) for w, r in zip(weight.tolist(), ratio)]
+            assert block_moments(weight, ratio) == expected
+
+    @pytest.mark.parametrize("length", [1, 2, 8, 9, 129, 8191, 8192, 8193, 20_000])
+    def test_long_rows(self, length):
+        # numpy sums in pairwise blocks of 8 and 128 and buffers of 8,192: a row
+        # reduced inside a 2-D group still meets each split as it does alone
+        rng = np.random.default_rng(length)
+        ratio = rng.random((6, length))
+        ratio[:3, rng.random(length) < 0.2] = math.nan  # three rows of one kept count
+        ratio[4] = math.nan  # kept count 0
+        weights = np.arange(1, 7)
+        expected = [oracles.row_moments(w, r) for w, r in zip(weights.tolist(), ratio)]
+        assert block_moments(weights, ratio) == expected
 
 
 class TestCenterCurveCheck:

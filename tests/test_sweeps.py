@@ -15,7 +15,7 @@ from straightnet import (
     sweep_rectilinear,
 )
 from straightnet import metrics, shortest_paths, sweeps
-from straightnet.shortest_paths import geodesics
+from straightnet.shortest_paths import geodesic_blocks
 from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION, _grid_ids, _wheel_ids
 from straightnet.tables import read_table, write_sweep_csv
 
@@ -227,11 +227,11 @@ class TestOneRelaxationPerHost:
     def spy(monkeypatch):
         batches = []
 
-        def spy(graph, sources):
+        def spy(graph, sources, *parts):
             batches.append((graph, list(sources)))
-            return geodesics(graph, batches[-1][1])
+            return geodesic_blocks(graph, batches[-1][1], *parts)
 
-        monkeypatch.setattr(metrics, "geodesics", spy)
+        monkeypatch.setattr(metrics, "geodesic_blocks", spy)
         return batches
 
     def test_grid_sweep_searches_the_largest_grid_once(self, monkeypatch):
@@ -257,11 +257,11 @@ class TestOneRelaxationPerHost:
 
     def test_nested_summaries_reads_the_host_orbit_rows_once(self, monkeypatch):
         # one batch over the host's own (representative, weight) orbits
-        calls, rows = [], metrics.straightness_rows
+        calls, blocks = [], metrics.straightness_blocks
         monkeypatch.setattr(
             metrics,
-            "straightness_rows",
-            lambda graph, sources: calls.append(list(sources)) or rows(graph, calls[-1]),
+            "straightness_blocks",
+            lambda graph, sources: calls.append(list(sources)) or blocks(graph, calls[-1]),
         )
         grid, wheel = GridSpec(6), RadialSpec(5, 3, 2)
         grid_cells = [_grid_ids(grid, GridSpec(s)) for s in (6, 4, 2)]
@@ -280,9 +280,14 @@ class TestOneRelaxationPerHost:
             (generate_radioconcentric, [RadialSpec(7, m, 3) for m in (4, 2, 1)], _wheel_ids),
         ]
         expected = [[summarize(generate(c)) for c in cells] for generate, cells, _ in hosts]
-        rows = metrics.straightness_rows
-        monkeypatch.setattr(
-            metrics, "straightness_rows", lambda graph, sources: list(rows(graph, sources))[::-1]
+        blocks = metrics.straightness_blocks
+        monkeypatch.setattr(metrics, "BLOCK_ENTRIES", 200)  # 2 rows of the 81 or 85 nodes
+        monkeypatch.setattr(  # the last block first, each upside down
+            metrics,
+            "straightness_blocks",
+            lambda graph, sources: [
+                tuple(array[::-1] for array in b) for b in list(blocks(graph, sources))[::-1]
+            ],
         )
         for (generate, cells, cell_ids), direct in zip(hosts, expected):
             host = cells[0]
