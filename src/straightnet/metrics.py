@@ -32,8 +32,8 @@ class StraightnessSummary:
 # a unit took 57-69 ns on grids of side 30-100 and the street graph (side 31), about
 # 35 s for the whole budget.  A relaxation round, one per hop, also costs about 55 us
 # whatever its frontier, so long-hop graphs cost more: 114 ns per unit (18,700 rounds)
-# on RadialSpec(3, 1000, 1), up to 0.8 us.  The pair dump adds the table: 144 ns per
-# unit in all for the street graph on two ranges, 180 ns on one.
+# on RadialSpec(3, 1000, 1), up to 0.8 us.  The pair dump adds the table: about 95 ns
+# per unit in all for the street graph on two range processes, 165 ns on one.
 MAX_WORK = 2**29
 
 # Values per array of one block of rows (256 KB): the pair dump is as fast as with

@@ -16,11 +16,13 @@ import contextlib
 import csv
 import math
 import os
+import pickle
 import shutil
+import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,17 +40,20 @@ PAIRS_HEADER = ["u", "v", "d_spatial", "d_geodesic", "straightness"]
 # numpy's per-call cost spreads over ~2**14 rows instead of one source's few hundred.
 CHUNK_PAIRS = 1 << 14
 
-# Most source ranges a pair dump runs at once, one thread each, each with 1/K of
-# CHUNK_ENTRIES and CHUNK_PAIRS.  Relaxing and formatting are numpy calls that mostly
-# release the GIL: on 2 cores the street graph (side 31) dumped in 0.35 s on two
-# ranges and 0.44 s on one.  More than two were not measured.
+# Most source ranges a pair dump runs at once, each after the first in a forked
+# process, each with 1/K of CHUNK_ENTRIES and CHUNK_PAIRS.  Threads did not help: on
+# these 2k-8k-value arrays nearly every numpy call holds the GIL, and two threads
+# relaxed 0.95x as fast as one.  On 2 cores the street graph (side 31) dumps in about
+# 0.23 s on two processes and 0.40 s on one.  More than two were not measured.
 MAX_RANGES = 2
 # Relaxing one source costs about as much as writing this many pairs per unit of
-# N + E: the street graph is cut at source 353 of 961, and its two ranges ended a
-# median 8 ms apart (6 runs); the equal-pairs cut at 282 left the second 94 ms behind.
+# N + E: the street graph is cut at source 353 of 961, and its two range processes
+# ended a median 1-4 ms apart (three sets of 11 runs, each with a spread of about
+# +-40 ms); the equal-pairs cut at 282 left the forked range a median 82 ms behind.
 SOURCE_COST = 0.14
 
 _PAD = 0  # the byte that marks the unused end of a field, dropped before writing
+_PAD_BYTE = bytes([_PAD])
 
 
 def _word_table() -> np.ndarray:
@@ -103,8 +108,10 @@ def write_pairs_csv(path, graph: NetworkGraph) -> Iterator[tuple]:
     yield its rows' :func:`~straightnet.metrics.block_moments` in id order, for
     :func:`~straightnet.metrics.summarize_moments`.  The call checks the work of all
     N sources; nothing is opened until the first moment is asked for.  The sources
-    run as :func:`_cuts` ranges, each after the first on its own thread and into its
-    own temporary file, and the table replaces ``path`` only once it is complete.
+    run as :func:`_cuts` ranges, each after the first in a forked process of its own
+    and into its own temporary file, and the table replaces ``path`` only once it is
+    complete.  Every process has ended by the time the first moment is yielded or an
+    error is raised.
     """
     check_work(graph.node_count, graph.node_count, graph.edge_count)
     return _dump(Path(path).resolve(), graph)  # a link's target is replaced, not the link
@@ -117,45 +124,112 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _range_count() -> int:
+    """Source ranges a dump runs at once.  Forking is safe only on Linux (macOS system
+    libraries are not fork-safe; Windows cannot fork) and only while no other Python
+    thread runs, as the child would inherit the locks that thread holds."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(MAX_RANGES, usable_cpus())
+
+
 def _dump(path: Path, graph: NetworkGraph) -> Iterator[tuple]:
     n = graph.node_count
-    parts = min(MAX_RANGES, usable_cpus()) if n * n > shortest_paths.CHUNK_ENTRIES else 1
-    cuts, moments, errors = _cuts(n, graph.edge_count, parts), [[] for _ in range(parts)], []
-
-    def run(i: int, out) -> None:
-        sources = [(u, 1) for u in range(cuts[i], cuts[i + 1])]
-        try:
-            for block in straightness_blocks(graph, sources, parts):
-                if errors:  # another range failed
-                    return
-                out.writelines(_pair_lines(block, max(1, CHUNK_PAIRS // parts)))
-                moments[i] += block_moments(block[1], block[4])
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
+    parts = _range_count() if n * n > shortest_paths.CHUNK_ENTRIES else 1
+    cuts, limit = _cuts(n, graph.edge_count, parts), max(1, CHUNK_PAIRS // parts)
+    ranges = zip(cuts, cuts[1:])  # every stream checks its ids here, before any fork
+    streams = [straightness_blocks(graph, [(u, 1) for u in range(*r)], parts) for r in ranges]
     part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
     fh = part.open("xb")
+    children: list[tuple[int, BinaryIO]] = []  # range processes not yet reaped, in order
     try:
         with fh, contextlib.ExitStack() as stack:
-            outs = [fh, *(stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[2:])]
+            spills = [stack.enter_context(tempfile.TemporaryFile()) for _ in streams[1:]]
+            for blocks, spill in zip(streams[1:], spills):
+                children.append(_fork(blocks, spill, limit))
             fh.write(",".join(PAIRS_HEADER).encode() + b"\n")
-            threads = [threading.Thread(target=run, args=(i, outs[i])) for i in range(1, parts)]
-            for thread in threads:
-                thread.start()
-            run(0, fh)
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
-            for spill in outs[1:]:
+            moments = _run(streams[0], fh, limit)
+            for spill in spills:
+                moments += _reap(children)
                 spill.seek(0)
                 shutil.copyfileobj(spill, fh)
         part.replace(path)
     except BaseException:
+        _kill(children)
         part.unlink()
         raise
-    for share in moments:
-        yield from share
+    yield from moments
+
+
+def _run(blocks: Iterator[tuple], out: BinaryIO, limit: int) -> list[tuple]:
+    """Write the pair lines of a range's blocks to ``out``; return its rows' moments."""
+    moments = []
+    for block in blocks:
+        out.writelines(_pair_lines(block, limit))
+        moments += block_moments(block[1], block[4])
+    return moments
+
+
+def _fork(blocks: Iterator[tuple], out: BinaryIO, limit: int) -> tuple[int, BinaryIO]:
+    """Run a range in a child process; return its pid and the pipe on which it sends
+    ``("ok", moments)`` or ``("error", exception)`` before it ends."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:  # the child never returns: its copy of the caller's stack must not run on
+        os.close(read)
+        try:
+            result = "ok", _run(blocks, out, limit)
+            out.flush()
+        except BaseException as exc:
+            result = "error", exc
+        with open(write, "wb") as pipe:
+            pipe.write(_pickled(*result))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled(kind: str, value) -> bytes:
+    """``(kind, value)`` pickled; an exception that does not survive a round trip is
+    sent as its nearest built-in type with the same message, prefixed by its type."""
+    try:
+        data = pickle.dumps((kind, value))
+        pickle.loads(data)  # an exception may pickle and still fail to unpickle
+        return data
+    except Exception:
+        builtin = next(t for t in type(value).__mro__ if t.__module__ == "builtins")
+        return pickle.dumps((kind, builtin(f"{type(value).__qualname__}: {value}")))
+
+
+def _reap(children: list[tuple[int, BinaryIO]]) -> list[tuple]:
+    """The moments of the first range process once it has ended, or its exception."""
+    pid, pipe = children[0]
+    with pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del children[0]
+    if code:  # killed (out of memory, say) or could not send: what it sent is cut short
+        how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
+        raise ChildProcessError(f"a source range process ended {how} before its rows")
+    kind, value = pickle.loads(data)
+    if kind == "error":
+        raise value
+    return value
+
+
+def _kill(children: list[tuple[int, BinaryIO]]) -> None:
+    """Kill and reap the range processes not yet reaped."""
+    import signal  # only ever needed here
+
+    for pid, pipe in children:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)  # an ended one waits as a zombie, so the pid is its own
+        os.waitpid(pid, 0)
+    children.clear()
 
 
 def _cuts(nodes: int, edges: int, parts: int) -> list[int]:
@@ -184,15 +258,19 @@ def _lines(fields: list[np.ndarray]) -> bytes:
     comma, newline = (np.full((fields[0].shape[1], 1), ord(c), np.uint32) for c in ",\n")
     words = [*(w for f in fields[:-1] for w in (f.T, comma)), fields[-1].T, newline]
     text = np.concatenate(words, axis=1).ravel().view(np.uint8)  # row by row
-    return text[text != _PAD].tobytes()
+    return text.tobytes().translate(None, _PAD_BYTE)  # faster than a mask, and no index
 
 
 def _integers(n: np.ndarray) -> np.ndarray:
     """``%d`` of non-negative int64s: a column of 4-byte words each, padded with ``_PAD``."""
-    words = _words(n, -(-len(str(n.max())) // 4))
-    digits = np.searchsorted(_INT_POWERS[1:], n, side="right") + 1
-    first = len(words) - (digits + 3) // 4  # the word holding the leading digit
-    place = np.arange(len(words))[:, None]  # blank before it, no leading zeros in it
+    count = -(-len(str(n.max())) // 4)
+    if count == 1:
+        return _WORDS[n + 10**4][None]
+    words = _words(n, count)
+    nonzero = words != 0
+    nonzero[-1] = True  # 0 prints its last word
+    first = nonzero.argmax(axis=0)  # the word holding the leading digit
+    place = np.arange(count)[:, None]  # blank before it, no leading zeros in it
     return _WORDS[words + 10**4 * (2 * (place < first) + (place == first))]
 
 
@@ -226,15 +304,17 @@ def _floats(x: np.ndarray, digits: int) -> np.ndarray:
     point = np.where(later, ord("."), _PAD).astype(np.uint32)
     words = np.vstack([head, point, *tail[::-1]])
     for i, line in lines.items():
-        words[:, i] = np.frombuffer(line.ljust(4 * len(words), bytes([_PAD])), np.uint32)
+        words[:, i] = np.frombuffer(line.ljust(4 * len(words), _PAD_BYTE), np.uint32)
     return words
 
 
 def _words(n: np.ndarray, count: int) -> np.ndarray:
     """The last ``count`` base-10**4 digits of non-negative int64s, highest first."""
     words = np.empty((count, len(n)), dtype=np.intp)
-    for i in reversed(range(count)):
-        n, words[i] = np.divmod(n, 10**4)
+    for i in reversed(range(count)):  # numpy divides by a scalar fast, np.divmod does not
+        high = n // 10**4
+        words[i] = n - high * 10**4
+        n = high
     return words
 
 

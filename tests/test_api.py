@@ -94,11 +94,13 @@ def fresh_modules(code):
 
 def test_import_loads_no_network_or_mail_modules():
     # each of these costs every command's start-up time; xml.sax.saxutils, for
-    # one, pulls in all four (about 27 ms on a 2-core machine), and
-    # concurrent.futures about 4 ms where the pair dump's plain threads need none
+    # one, pulls in all four (about 27 ms on a 2-core machine), concurrent.futures
+    # about 4 ms and multiprocessing about 6 ms, where the pair dump's plain
+    # os.fork needs neither
     loaded = fresh_modules("import sys, straightnet, straightnet.cli; print(*sys.modules)")
     unwanted = {"urllib.request", "http.client", "ssl", "email", "concurrent.futures"}
-    assert loaded.isdisjoint(unwanted)
+    assert loaded.isdisjoint(unwanted | {"multiprocessing"})
+    assert "signal" not in loaded  # imported only to kill a range process
 
 
 def test_root_import_loads_only_the_study():

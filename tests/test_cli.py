@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -519,6 +521,38 @@ class TestStraightness:
             assert pairs_path.read_bytes() == earlier
         left = ["grid.json", "pairs.csv"][: 1 + bool(earlier)]
         assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+    def test_killed_range_process_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        # the second range's process dies after its first block without a word: one
+        # I/O error line, and neither a table, a part file nor a zombie is left behind
+        from straightnet import shortest_paths, tables
+
+        graph_path, pairs_path = tmp_path / "grid.json", tmp_path / "pairs.csv"
+        run_cli("gen", "rect", "--size", 9, "--out", graph_path)
+        monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 10 * 100)  # 10 chunks
+        monkeypatch.setattr(tables, "usable_cpus", lambda: 2)
+        blocks, parent = tables.straightness_blocks, os.getpid()
+
+        def kernel(graph, sources, *rest):
+            found = blocks(graph, sources, *rest)
+
+            def killed():
+                yield next(found)
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield from found
+
+            return killed()
+
+        monkeypatch.setattr(tables, "straightness_blocks", kernel)
+        capsys.readouterr()
+        assert run_cli("straightness", graph_path, "--pairs-csv", pairs_path) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("straightnet: I/O error: ") and f"signal {signal.SIGKILL.value}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dump_through_a_link_writes_its_target(self, tmp_path):
         graph_path, target, link = tmp_path / "grid.json", tmp_path / "t.csv", tmp_path / "l.csv"

@@ -1,6 +1,8 @@
 import math
+import os
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -558,9 +560,9 @@ class TestPairDump:
         assert end == 81 and cut % 7  # range 1 starts inside the one-range layout's chunk
         assert_dump_is_the_loop_dump(graph, tmp_path, monkeypatch)
 
-    def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch, tmp_path):
-        # four ranges on two cores, switching threads every 10 us: the ranges still
-        # append their lines and moments in source order
+    def test_more_ranges_than_cores(self, monkeypatch, tmp_path):
+        # four ranges, three of them forked, on two cores: the ranges still append
+        # their lines and moments in source order
         graph = jittered_street_graph(7, 12)
         monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 3 * 144)
         monkeypatch.setattr(tables, "MAX_RANGES", 4)
@@ -572,12 +574,7 @@ class TestPairDump:
             return straightness_blocks(graph, sources, k)
 
         monkeypatch.setattr(tables, "straightness_blocks", spy)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            assert_dump_is_the_loop_dump(graph, tmp_path)
-        finally:
-            sys.setswitchinterval(interval)
+        assert_dump_is_the_loop_dump(graph, tmp_path)
         assert sorted(starts) == tables._cuts(144, graph.edge_count, 4)[:-1]  # four ranges
 
     def test_isolated_nodes_dump_like_the_loop_writer(self, monkeypatch, tmp_path):
@@ -592,16 +589,32 @@ class TestPairDump:
     def test_dump_memory_stays_flat(self, monkeypatch, tmp_path):
         # 461,280 pairs.  Kept whole, the rows are 22 MB (3 float64 arrays of 961
         # each per source) and the table text 16 MB; a write of 2**14 pairs is
-        # about 1.5 MB of text and one geodesic chunk 1 MB, halved for each of two ranges
+        # about 1.5 MB of text and one geodesic chunk 1 MB, halved for each of two
+        # ranges.  The forked range's process traces its own peak, from the fork on.
         graph = generic_copy(generate_rectilinear(GridSpec(30)))
         monkeypatch.setattr(tables, "usable_cpus", lambda: tables.MAX_RANGES)
+        peaks = tmp_path / "peaks.txt"
+
+        def traced(graph, sources, k):
+            blocks = straightness_blocks(graph, sources, k)
+
+            def stream():
+                yield from blocks
+                with peaks.open("a") as fh:
+                    fh.write(f"{os.getpid()} {tracemalloc.get_traced_memory()[1]}\n")
+
+            return stream()
+
+        monkeypatch.setattr(tables, "straightness_blocks", traced)
         tracemalloc.start()
         try:
             summarize_moments(graph, write_pairs_csv(tmp_path / "pairs.csv", graph))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        ranges = dict(line.split() for line in peaks.read_text().splitlines())
+        assert len(ranges) == tables.MAX_RANGES and str(os.getpid()) in ranges
+        assert max(peak, *map(int, ranges.values())) < 16e6
 
     def test_strict_failure_never_opens_the_table(self, tmp_path):
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
@@ -611,29 +624,126 @@ class TestPairDump:
         assert not path.exists() and not list(tmp_path.iterdir())
 
 
-class TestThreads:
-    """Only a pair dump of more than one geodesic chunk starts a thread, and it ends
-    within the call."""
+class NotPickled(ValueError):
+    """An exception that pickles and then fails to unpickle: its class takes two
+    arguments, its pickle holds one."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):  # nothing left to reap, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcesses:
+    """Only a pair dump of more than one geodesic chunk forks, one process per later
+    source range, and it reaps every one within the call.  Nothing starts a thread."""
 
     @pytest.fixture
     def started(self, monkeypatch):
-        started, start = [], threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        forks, threads = [], []
+        fork, start = os.fork, threading.Thread.start
+        monkeypatch.setattr(os, "fork", lambda: forks.append(pid := fork()) or pid)
+        monkeypatch.setattr(threading.Thread, "start", lambda t: threads.append(t) or start(t))
         monkeypatch.setattr(tables, "usable_cpus", lambda: 2)
-        return started
+        return forks, threads
 
     def test_sweeps_start_none(self, started):
         sweep_rectilinear(range(1, 31))  # the GridSpec(30) host: 130,696 labels, one chunk
         sweep_radial(range(3, 21), range(1, 6))
-        assert started == []
+        assert started == ([], [])
 
-    @pytest.mark.parametrize("size, threads", [(18, 0), (19, 1)])
-    def test_only_dumps_past_one_chunk_start_one(self, started, tmp_path, size, threads):
+    @pytest.mark.parametrize("size, children", [(18, 0), (19, 1)])
+    def test_only_dumps_past_one_chunk_fork(self, started, tmp_path, size, children):
         # 361**2 = 130,321 labels fit one chunk of 2**17; 400**2 = 160,000 do not
+        forks, threads = started
         graph = generic_copy(generate_rectilinear(GridSpec(size)))
-        running = threading.active_count()
         dump_pairs(graph, tmp_path / "pairs.csv")
-        assert len(started) == threads and threading.active_count() == running
+        assert len(forks) == children and threads == []
+        assert_no_child_process()
+
+    def test_another_thread_keeps_the_dump_in_one_process(self, started, tmp_path):
+        # a child would inherit the locks of a running thread, held or not
+        forks, _ = started
+        graph = generic_copy(generate_rectilinear(GridSpec(19)))
+        forked = dump_pairs(graph, tmp_path / "forked.csv")
+        assert len(forks) == 1
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            alone = dump_pairs(graph, tmp_path / "alone.csv")
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and alone == forked and len(forks) == 1
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (lambda: NotPickled("made-up", "refusal"), "^NotPickled: made-up: refusal$"),
+            (lambda: type("Local", (ValueError,), {})("refusal"), "^Local: refusal$"),
+        ],
+        ids=["fails to unpickle", "fails to pickle"],
+    )
+    def test_child_error_keeps_its_type_and_message(
+        self, started, monkeypatch, tmp_path, error, expected
+    ):
+        # sent as the nearest built-in type, here ValueError, named in the message
+        graph = generic_copy(generate_rectilinear(GridSpec(19)))
+
+        def kernel(graph, sources, k):
+            blocks = straightness_blocks(graph, sources, k)
+            if sources[0][0] == 0:
+                return blocks
+
+            def broken():
+                yield next(blocks)
+                raise error()
+
+            return broken()
+
+        monkeypatch.setattr(tables, "straightness_blocks", kernel)
+        with pytest.raises(ValueError, match=expected) as raised:
+            dump_pairs(graph, tmp_path / "pairs.csv")
+        assert type(raised.value) is ValueError and len(started[0]) == 1
+        assert not list(tmp_path.iterdir())
+        assert_no_child_process()
+
+    def test_failing_first_range_kills_the_others(self, started, monkeypatch, tmp_path):
+        # the forked range would block for a minute; the dump ends at once, and the
+        # part file is removed only after the child is reaped
+        graph = generic_copy(generate_rectilinear(GridSpec(19)))
+        unlink, removed = Path.unlink, []
+
+        def kernel(graph, sources, k):
+            blocks = straightness_blocks(graph, sources, k)
+
+            def broken():
+                yield next(blocks)
+                if sources[0][0] == 0:
+                    raise OSError(28, "No space left")
+                time.sleep(60)
+
+            return broken()
+
+        def checked_unlink(path, *args):
+            assert_no_child_process()
+            removed.append(path.name)
+            return unlink(path, *args)
+
+        monkeypatch.setattr(tables, "straightness_blocks", kernel)
+        monkeypatch.setattr(Path, "unlink", checked_unlink)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="No space left"):
+            dump_pairs(graph, tmp_path / "pairs.csv")
+        assert time.monotonic() - start < 30 and len(started[0]) == 1
+        assert len(removed) == 1 and removed[0].endswith(".part")
+        assert not list(tmp_path.iterdir())
+        assert_no_child_process()
 
 
 class TestBlockMoments:
