@@ -105,6 +105,15 @@ class TestFloatColumns:
             assert column_text(values, digits) == b"".join(b"%.*g\n" % (digits, x) for x in values)
 
 
+class TestIntegerColumns:
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50))
+    @example([0, 10**4])  # 0 beside a value of two words
+    @example([9999, 0, 7])  # every value one word
+    def test_columns_print_as_percent_d(self, values):
+        text = tables._lines([tables._integers(np.array(values, dtype=np.int64))])
+        assert text == b"".join(b"%d\n" % v for v in values)
+
+
 class TestPlotColumns:
     """The columns ``tables.plot_series`` plots when no x column is given."""
 
