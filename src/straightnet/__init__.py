@@ -14,7 +14,7 @@ from .generators import (
     generate_radioconcentric,
     generate_rectilinear,
 )
-from .metrics import straightness_rows, summarize
+from .metrics import summarize
 from .model import NetworkGraph, load_graph, save_graph
 from .sweeps import sweep_radial, sweep_rectilinear
 
@@ -30,7 +30,6 @@ __all__ = [
     "save_graph",
     "straightness_radial",
     "straightness_rectilinear",
-    "straightness_rows",
     "summarize",
     "sweep_radial",
     "sweep_rectilinear",

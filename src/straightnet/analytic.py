@@ -18,7 +18,7 @@ import numpy as np
 
 RIGHT_ANGLE = math.pi / 2.0
 DOMINANCE_SAMPLES = 10001  # directions dominance_fraction samples on [0, pi/4]
-MAX_CURVE_SAMPLES = 1_000_000  # most rows a curve table may hold; checked before sampling
+MAX_CURVE_SAMPLES = 1_000_000  # most rows a curve table, or any table read, may hold
 Angles = float | np.ndarray  # one direction in radians, or an array of them
 
 

@@ -54,23 +54,13 @@ def check_work(sources: int, nodes: int, edges: int, spent: int = 0) -> int:
     return total
 
 
-def straightness_rows(graph: NetworkGraph, sources=None) -> Iterator[tuple]:
-    """``(source, weight, d_spatial, d_geodesic, straightness)`` per source.
-
-    One :func:`geodesic_blocks` batch over the ``(source, weight)`` pairs in
-    ``sources`` (default: every node, weight 1).  Arrays run over all
-    targets; straightness is ``nan`` for unreachable or co-located pairs,
-    so always at the source itself, and otherwise in ``(0, 1]`` up to
-    rounding.  The call checks the batch's work.
-    """
-    blocks = straightness_blocks(graph, sources)
-    return (row for ids, w, *arrays in blocks for row in zip(ids.tolist(), w.tolist(), *arrays))
-
-
 def straightness_blocks(graph: NetworkGraph, sources=None, parts: int = 1) -> Iterator[tuple]:
-    """:func:`straightness_rows` as ``(sources, weights, d_spatial, d_geodesic,
-    straightness)`` blocks of ``BLOCK_ENTRIES // N`` rows (at least one), sliced from
-    the :func:`geodesic_blocks` chunks (``parts`` is passed on).  Checked when called."""
+    """``(sources, weights, d_spatial, d_geodesic, straightness)`` blocks, one row per
+    source, of one :func:`geodesic_blocks` batch over the ``(source, weight)`` pairs in
+    ``sources`` (default: every node, weight 1): ``BLOCK_ENTRIES // N`` rows (at least
+    one) sliced from its chunks (``parts`` is passed on).  Straightness is ``nan`` for
+    unreachable or co-located pairs, so always at the source itself, and otherwise in
+    ``(0, 1]`` up to rounding.  Checked when called."""
     sources = [(v, 1) for v in range(graph.node_count)] if sources is None else list(sources)
     check_work(len(sources), graph.node_count, graph.edge_count)
     return _blocks(graph, sources, geodesic_blocks(graph, [s for s, _ in sources], parts))
@@ -135,27 +125,21 @@ def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[Straig
     return [_fold(len(ids), rows) for ids, rows in zip(cells, moments)]
 
 
-def summarize(
-    graph: NetworkGraph, strict: bool = False, rows: Iterable[tuple] | None = None
-) -> StraightnessSummary:
+def summarize(graph: NetworkGraph, strict: bool = False) -> StraightnessSummary:
     """Mean and standard deviation of straightness over all node pairs.
 
-    Folds :func:`straightness_blocks`, by default one row per orbit of the
-    graph's symmetry group, weighted by orbit size: a symmetry preserves both
-    distances, so every node of an orbit sees the same values.  ``rows``
-    replaces them with rows such as :func:`straightness_rows` yields, each
-    folded on its own, and :func:`summarize_moments` checks and folds.
+    Folds :func:`straightness_blocks`, one row per orbit of the graph's symmetry
+    group, weighted by orbit size: a symmetry preserves both distances, so every
+    node of an orbit sees the same values.  Its ``nan`` pairs are the skipped ones
+    and the rest lie in ``(0, 1]``; :func:`summarize_moments` checks the graph and
+    folds, and the batch's work is checked only once those checks have passed.
     """
-    return summarize_moments(graph, _moments(graph, rows), strict)
+    return summarize_moments(graph, _moments(graph), strict)
 
 
-def _moments(graph: NetworkGraph, rows: Iterable[tuple] | None) -> Iterator[tuple]:
-    if rows is None:  # the batch starts only once the checks have passed
-        for _, weights, _, _, ratio in straightness_blocks(graph, graph.orbits):
-            yield from block_moments(weights, ratio)
-    else:
-        for _, weight, _, _, ratio in rows:
-            yield from block_moments([weight], np.reshape(ratio, (1, -1)))
+def _moments(graph: NetworkGraph) -> Iterator[tuple]:
+    for _, weights, _, _, ratio in straightness_blocks(graph, graph.orbits):  # after the checks
+        yield from block_moments(weights, ratio)
 
 
 def summarize_moments(

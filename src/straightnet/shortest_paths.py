@@ -25,12 +25,6 @@ def _arcs(graph: NetworkGraph) -> tuple[np.ndarray, ...]:
     return degree, offset, np.repeat(graph.edge_lengths, 2)[order]
 
 
-def geodesics(graph: NetworkGraph, sources: Iterable[int]) -> Iterator[np.ndarray]:
-    """The rows of :func:`geodesic_blocks`, one per source, in order."""
-    for block in geodesic_blocks(graph, sources):
-        yield from block
-
-
 def geodesic_blocks(
     graph: NetworkGraph, sources: Iterable[int], parts: int = 1
 ) -> Iterator[np.ndarray]:

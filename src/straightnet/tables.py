@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import math
 import os
 import pickle
@@ -27,6 +28,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import shortest_paths
+from .analytic import MAX_CURVE_SAMPLES
 from .metrics import block_moments, check_work, straightness_blocks
 from .model import NetworkGraph
 from .svgplot import Series
@@ -107,14 +109,19 @@ def write_pairs_csv(path, graph: NetworkGraph) -> Iterator[tuple]:
     """Write the ``v > u`` pairs of every node ``u`` of ``graph`` in ``(u, v)`` order and
     yield its rows' :func:`~straightnet.metrics.block_moments` in id order, for
     :func:`~straightnet.metrics.summarize_moments`.  The call checks the work of all
-    N sources; nothing is opened until the first moment is asked for.  The sources
-    run as :func:`_cuts` ranges, each after the first in a forked process of its own
-    and into its own temporary file, and the table replaces ``path`` only once it is
+    N sources and refuses a ``path`` that is a directory or whose directory does not
+    exist; nothing is opened until the first moment is asked for.  The sources run
+    as :func:`_cuts` ranges, each after the first in a forked process of its own and
+    into its own temporary file, and the table replaces ``path`` only once it is
     complete.  Every process has ended by the time the first moment is yielded or an
     error is raised.
     """
+    target = Path(path).resolve()  # a link's target is replaced, not the link
+    if target.is_dir() or not target.parent.is_dir():  # named as given, not as the part file
+        code = errno.EISDIR if target.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), os.fspath(path))
     check_work(graph.node_count, graph.node_count, graph.edge_count)
-    return _dump(Path(path).resolve(), graph)  # a link's target is replaced, not the link
+    return _dump(target, graph)
 
 
 def usable_cpus() -> int:
@@ -319,7 +326,8 @@ def _words(n: np.ndarray, count: int) -> np.ndarray:
 
 
 def read_table(path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a CSV produced by the writers above; values stay as strings."""
+    """Read a CSV produced by the writers above; values stay as strings.  A table of
+    more than MAX_CURVE_SAMPLES data rows is refused as soon as its next row is read."""
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -331,6 +339,8 @@ def read_table(path) -> tuple[list[str], list[dict[str, str]]]:
                 if len(fields) != len(header):
                     counts = f"{len(fields)} fields, the header {len(header)}"
                     raise ValueError(f"{path}: line {reader.line_num} has {counts}")
+                if len(rows) == MAX_CURVE_SAMPLES:
+                    raise ValueError(f"{path}: more than {MAX_CURVE_SAMPLES=} data rows")
                 rows.append(dict(zip(header, fields)))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc

@@ -17,7 +17,7 @@ from .analytic import (
 )
 from .generators import GridSpec, RadialSpec
 from .generators import generate_radioconcentric, generate_rectilinear
-from .metrics import straightness_rows
+from .metrics import straightness_blocks
 from .model import NetworkGraph
 
 TRIG_TOLERANCE = 1e-12  # pure trigonometric identities
@@ -44,7 +44,7 @@ def center_curve_check(graph: NetworkGraph) -> float:
     closed form evaluated at each node's direction.  The corner quadrant is
     fully general thanks to rotation symmetry.
     """
-    _, _, _, _, measured = next(straightness_rows(graph, [(0, 1)]))
+    measured = next(straightness_blocks(graph, [(0, 1)]))[4][0]
     x, y = graph.positions.T
     return _worst((measured - straightness_rectilinear(np.arctan2(y, x)))[1:])
 
@@ -64,7 +64,7 @@ def center_radial_check(graph: NetworkGraph, spec: RadialSpec) -> tuple[float, f
         raise ValueError("check needs side_subdivision >= 2")
     if graph.node_count != spec.node_count:
         raise ValueError(f"graph has {graph.node_count} nodes, the spec {spec.node_count}")
-    _, _, _, _, measured = next(straightness_rows(graph, [(0, 1)]))
+    measured = next(straightness_blocks(graph, [(0, 1)]))[4][0]
     x, y = graph.positions.T
     expected = straightness_radial(k, np.arctan2(y, x))
     # side nodes follow the center and the m*k corners, one row per ring

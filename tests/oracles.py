@@ -8,9 +8,10 @@ exact for the small graphs (<= ~10 nodes) the hand-checked cases use.
 with no path search at all, and ``exact_grid_distances`` and
 ``exact_wheel_distances`` are the two families' all-pairs geodesics from
 their geometry alone (``exact_wheel_summary`` aggregates the wheel's).
-``two_pass_summary`` is the aggregate that keeps every row, which the
-one-pass fold of per-row moments must match, and ``row_moments`` the
-moments of one row alone, which the block fold must equal bit for bit.
+``two_pass_summary`` is the aggregate that keeps every row (``rows_of``
+splits blocks into rows), which the one-pass fold of per-row moments must
+match, and ``row_moments`` the moments of one row alone, which the block
+fold must equal bit for bit.
 ``all_pairs`` and ``pair_straightness`` are the plain per-pair path the
 library's row kernel is checked against (its fields formatted by
 ``format_angle``/``format_ratio``).  ``loop_pairs_csv`` is the pair-table
@@ -92,6 +93,12 @@ def dijkstra(graph, sources):
                     dist[v] = nd
                     heappush(heap, (nd, v))
         yield np.asarray(dist)
+
+
+def rows_of(blocks):
+    """The ``(source, weight, d_spatial, d_geodesic, straightness)`` rows, one per source,
+    of ``metrics.straightness_blocks`` blocks."""
+    return (row for ids, w, *arrays in blocks for row in zip(ids.tolist(), w.tolist(), *arrays))
 
 
 def all_pairs(graph):

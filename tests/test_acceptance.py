@@ -26,7 +26,7 @@ from straightnet import (
 from straightnet.analytic import canonicalize, mesh_oracle_radial, sector_angle
 from straightnet.validation import center_curve_check, center_radial_check
 from straightnet.cli import main
-from straightnet.shortest_paths import geodesics
+from straightnet.shortest_paths import geodesic_blocks
 
 import oracles
 from oracles import all_pairs, grid_node_id, pair_straightness, ring_node_id
@@ -99,7 +99,7 @@ def test_a3_grid_cross_validation():
         spec = GridSpec(size)
         graph = generate_rectilinear(spec)
         # independent oracle: grid geodesics are Manhattan distances
-        row = next(geodesics(graph, [0]))
+        (row,) = next(geodesic_blocks(graph, [0]))
         for i in range(size + 1):
             for j in range(size + 1):
                 assert row[grid_node_id(spec, i, j)] == pytest.approx(i + j, abs=1e-12)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -19,7 +20,6 @@ PUBLIC_NAMES = [
     "save_graph",
     "straightness_radial",
     "straightness_rectilinear",
-    "straightness_rows",
     "summarize",
     "sweep_radial",
     "sweep_rectilinear",
@@ -37,7 +37,7 @@ MODULE_NAMES = {
     ],
     "metrics": ["block_moments", "straightness_blocks", "summarize_moments"],
     "model": ["graph_from_json", "graph_to_json"],
-    "shortest_paths": ["geodesic_blocks", "geodesics"],
+    "shortest_paths": ["geodesic_blocks"],
     "svgplot": ["Series", "render_svg", "write_svg"],
     "sweeps": ["DEFAULT_SWEEP_SUBDIVISION"],
     "tables": ["plot_series", "read_table", "usable_cpus", "write_pairs_csv"],
@@ -47,6 +47,13 @@ MODULE_NAMES = {
         "center_radial_check",
         "run_all_checks",
     ],
+}
+
+# the per-row views of the block kernel, removed: rows come from metrics.straightness_blocks
+REMOVED_NAMES = {
+    "straightnet": ["straightness_rows"],
+    "straightnet.metrics": ["straightness_rows"],
+    "straightnet.shortest_paths": ["geodesics"],
 }
 
 
@@ -74,6 +81,10 @@ def test_helpers_live_in_their_modules():
         for name in names:
             assert hasattr(importlib.import_module(f"straightnet.{module}"), name)
             assert not hasattr(straightnet, name)
+    for module, names in REMOVED_NAMES.items():
+        for name in names:
+            assert not hasattr(importlib.import_module(module), name)
+    assert "rows" not in inspect.signature(straightnet.summarize).parameters
 
 
 def test_graph_surface_is_pinned():

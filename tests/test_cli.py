@@ -554,6 +554,30 @@ class TestStraightness:
         with pytest.raises(ChildProcessError):  # reaped
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize(
+        "given, reason",
+        [("dir", "Is a directory"), ("nodir/pairs.csv", "No such file or directory")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_dump_path_is_refused_before_any_geodesic(
+        self, tmp_path, monkeypatch, capsys, given, reason
+    ):
+        # refused by the path as given, not by the part file's name once every pair is done
+        from straightnet import metrics
+
+        graph_path, given = tmp_path / "grid.json", tmp_path / given
+        run_cli("gen", "rect", "--size", 2, "--out", graph_path)
+        (tmp_path / "dir").mkdir()
+        calls = []
+        monkeypatch.setattr(metrics, "geodesic_blocks", lambda *args: calls.append(args))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli("straightness", graph_path, "--pairs-csv", given) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and ".part" not in err
+        assert err.startswith("straightnet: I/O error: ") and err.endswith(f"{reason}: '{given}'\n")
+        assert calls == [] and sorted(tmp_path.rglob("*")) == before
+
     def test_dump_through_a_link_writes_its_target(self, tmp_path):
         graph_path, target, link = tmp_path / "grid.json", tmp_path / "t.csv", tmp_path / "l.csv"
         run_cli("gen", "rect", "--size", 2, "--out", graph_path)
@@ -718,6 +742,23 @@ class TestPlot:
         assert err.startswith(f"straightnet: {table}: line 3: field larger than field limit")
         assert err.count("\n") == 1
         assert not (tmp_path / "big.svg").exists()
+
+    @pytest.mark.parametrize("rows, code", [(3, 0), (4, 1)], ids=["at-bound", "past-bound"])
+    def test_rows_past_the_bound_are_refused_while_read(
+        self, tmp_path, monkeypatch, capsys, rows, code
+    ):
+        # the ragged last line is never reached: reading stops at the first row too many
+        from straightnet import tables
+
+        monkeypatch.setattr(tables, "MAX_CURVE_SAMPLES", 3)
+        table, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+        lines = "".join(f"0.{i},0.9,radial,8\n" for i in range(rows))
+        table.write_text(f"alpha,straightness,network,k\n{lines}" + "1\n" * (code == 1))
+        assert run_cli("plot", table, "--out", svg) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"straightnet: {table}: more than MAX_CURVE_SAMPLES=3 data rows\n"
+        assert svg.exists() != bool(code)
 
 
 # JSON values that are not what a graph entry holds, or only just are

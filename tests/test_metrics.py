@@ -20,7 +20,6 @@ from straightnet import (
     generate_rectilinear,
     metrics,
     shortest_paths,
-    straightness_rows,
     summarize,
     sweep_radial,
     sweep_rectilinear,
@@ -28,7 +27,7 @@ from straightnet import (
 )
 from straightnet.model import graph_from_json, graph_to_json
 from straightnet.metrics import block_moments, straightness_blocks, summarize_moments
-from straightnet.shortest_paths import geodesic_blocks, geodesics
+from straightnet.shortest_paths import geodesic_blocks
 from straightnet.tables import read_table, write_pairs_csv
 from straightnet.validation import center_curve_check, center_radial_check
 
@@ -40,6 +39,7 @@ from oracles import (
     grid_node_id,
     pair_straightness,
     ring_node_id,
+    rows_of,
     side_node_id,
 )
 
@@ -47,6 +47,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  (the benchmark's seeded street graphs)
 
 SQRT7_OVER_1_PLUS_SQRT3 = math.sqrt(7.0) / (1.0 + math.sqrt(3.0))  # 0.9684121919...
+
+
+def fold_rows(graph, rows):
+    """``summarize_moments`` of ``(source, weight, d_spatial, d_geodesic, straightness)``
+    rows, each folded on its own."""
+    moments = (m for _, w, _, _, ratio in rows for m in block_moments([w], ratio[None]))
+    return summarize_moments(graph, moments)
 
 
 def scaled_copy(graph, factor):
@@ -154,15 +161,16 @@ class TestSummarize:
 
     def test_rows_without_a_measurable_pair_are_refused(self):
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], [(0, 1)])
-        for rows in (iter([]), straightness_rows(g, [(2, 3)])):  # node 2 is isolated
+        # node 2 is isolated
+        for rows in (iter([]), rows_of(straightness_blocks(g, [(2, 3)]))):
             with pytest.raises(ValueError, match="^no measurable pair in graph$"):
-                summarize(g, rows=rows)
+                fold_rows(g, rows)
 
     def test_sources_may_be_a_one_shot_iterator(self):
         g = generate_radioconcentric(RadialSpec(5, 2, 3))
-        rows = list(straightness_rows(g, ((v, 1) for v in range(g.node_count))))
+        rows = list(rows_of(straightness_blocks(g, ((v, 1) for v in range(g.node_count)))))
         assert [source for source, *_ in rows] == list(range(g.node_count))
-        assert summarize(g, rows=iter(rows)) == summarize(g, rows=straightness_rows(g))
+        assert fold_rows(g, iter(rows)) == fold_rows(g, rows_of(straightness_blocks(g)))
 
 
 class TestWorkBudget:
@@ -171,7 +179,7 @@ class TestWorkBudget:
         monkeypatch.setattr(metrics, "MAX_WORK", 9 * 21 - 1)
         monkeypatch.setattr(metrics, "geodesic_blocks", None)  # any search would fail
         with pytest.raises(ValueError, match=r"^189 units of geodesic work, more than MAX_WORK=188$"):
-            straightness_rows(g)  # the iterator is never advanced
+            straightness_blocks(g)  # the iterator is never advanced
         with pytest.raises(ValueError, match="^189 units"):
             summarize(generic_copy(g))
 
@@ -310,7 +318,7 @@ class TestRandomConnectedGraphs:
     @example(([(0.0, 1.0), (0.0, 0.0), (0.0, 5e-324)], [(0, 1), (0, 2)]))
     def test_straightness_lies_in_the_unit_interval(self, case):
         g = NetworkGraph(*case)
-        for _, _, _, _, ratio in straightness_rows(g):
+        for _, _, _, _, ratio in rows_of(straightness_blocks(g)):
             finite = ratio[np.isfinite(ratio)]
             assert len(finite) == g.node_count - 1  # connected: only the source is nan
             assert np.all(finite > 0.0) and np.all(finite <= 1.0 + ROUNDING)
@@ -323,7 +331,7 @@ class TestRandomConnectedGraphs:
         kept = data.draw(st.lists(st.sampled_from(edges), unique=True), label="kept")
         for g in (NetworkGraph(points, edges), NetworkGraph(points, kept)):
             sources = range(g.node_count)
-            got = [row.tobytes() for row in geodesics(g, sources)]
+            got = [row.tobytes() for row in np.vstack(list(geodesic_blocks(g, sources)))]
             assert got == [row.tobytes() for row in oracles.dijkstra(g, sources)]
 
     @settings(max_examples=50, deadline=None)
@@ -340,7 +348,7 @@ class TestRandomConnectedGraphs:
             cells.append((g, [as_id(v) for v, as_id in data.draw(ids, label="sources")]))
         chunk = data.draw(st.sampled_from([1, 7, 13, 40, 100]), label="chunk")
         with mock.patch.object(shortest_paths, "CHUNK_ENTRIES", chunk):
-            got = [row.tobytes() for g, s in cells for row in geodesics(g, s)]
+            got = [row.tobytes() for g, s in cells for b in geodesic_blocks(g, s) for row in b]
         expected = [row.tobytes() for g, s in cells for row in oracles.dijkstra(g, s)]
         assert got == expected
 
@@ -367,14 +375,14 @@ class TestRandomConnectedGraphs:
         assert abs(got.std_dev - expected.std_dev) <= 1e-9
 
 
-def std_gap_of_fold(graph, rows):
+def std_gap_of_fold(graph, blocks):
     """``summarize``'s fold against ``oracles.two_pass_summary`` on the same rows.
 
     Counts and mean must be identical; returns the gap between the two
     standard deviations and the two-pass summary.
     """
-    rows = list(rows)
-    got, expected = summarize(graph, rows=rows), oracles.two_pass_summary(graph, rows)
+    rows = list(rows_of(blocks))
+    got, expected = fold_rows(graph, rows), oracles.two_pass_summary(graph, rows)
     assert (got.pair_count, got.skipped_pairs) == (expected.pair_count, expected.skipped_pairs)
     assert got.mean == expected.mean  # the same sums in the same order
     return abs(got.std_dev - expected.std_dev), expected
@@ -386,20 +394,20 @@ class TestOnePassFold:
     def test_grid_sweep_graphs(self):
         for size in range(1, 31):
             graph = generate_rectilinear(GridSpec(size))
-            gap, expected = std_gap_of_fold(graph, straightness_rows(graph, graph.orbits))
+            gap, expected = std_gap_of_fold(graph, straightness_blocks(graph, graph.orbits))
             assert gap <= 2e-15 * expected.std_dev
 
     def test_radial_sweep_graphs(self):
         for k in range(3, 21):
             for m in range(1, 6):
                 graph = generate_radioconcentric(RadialSpec(k, m, 4))
-                gap, expected = std_gap_of_fold(graph, straightness_rows(graph, graph.orbits))
+                gap, expected = std_gap_of_fold(graph, straightness_blocks(graph, graph.orbits))
                 assert gap <= 2e-15 * expected.std_dev
 
     @pytest.mark.parametrize("seed", range(501, 511))
     def test_street_graphs_with_every_row(self, seed):
         graph = graph_from_json(workloads.street_graph(seed, 31))
-        gap, expected = std_gap_of_fold(graph, straightness_rows(graph))
+        gap, expected = std_gap_of_fold(graph, straightness_blocks(graph))
         assert gap <= 2e-15 * expected.std_dev
 
     @settings(max_examples=50, deadline=None)
@@ -408,7 +416,7 @@ class TestOnePassFold:
         points, edges = case
         kept = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True), label="kept")
         for graph in (NetworkGraph(points, edges), NetworkGraph(points, kept)):
-            gap, expected = std_gap_of_fold(graph, straightness_rows(graph))
+            gap, expected = std_gap_of_fold(graph, straightness_blocks(graph))
             # Rounding a row's mean moves either std by ulps of the mean, not
             # of the std, which here may be 1e5 times smaller than the mean.
             assert gap <= 2e-15 * expected.mean
@@ -437,8 +445,8 @@ def assert_dump_is_the_loop_dump(graph, directory, monkeypatch=None):
     summary of its moments is the one of each row folded on its own.  With
     ``monkeypatch`` the dump runs with one usable CPU and with two, so on one source
     range and on two (the graph needs more than one geodesic chunk)."""
-    rows = oracles.loop_pairs_csv(directory / "loop.csv", straightness_rows(graph))
-    expected = summarize(graph, rows=rows), (directory / "loop.csv").read_bytes()
+    rows = oracles.loop_pairs_csv(directory / "loop.csv", rows_of(straightness_blocks(graph)))
+    expected = fold_rows(graph, rows), (directory / "loop.csv").read_bytes()
     for cpus in (1, 2) if monkeypatch else (None,):
         if monkeypatch:
             monkeypatch.setattr(tables, "usable_cpus", lambda: cpus)

@@ -13,9 +13,9 @@ from straightnet import (
     generate_radioconcentric,
     generate_rectilinear,
     shortest_paths,
-    straightness_rows,
 )
-from straightnet.shortest_paths import geodesics
+from straightnet.metrics import straightness_blocks
+from straightnet.shortest_paths import geodesic_blocks
 
 import oracles
 from oracles import all_pairs, grid_node_id, ring_node_id
@@ -26,7 +26,7 @@ def orbit_sources(graph):
 
 
 def assert_same_rows(graph, sources):
-    got = [row.tobytes() for row in geodesics(graph, sources)]
+    got = [row.tobytes() for row in np.vstack(list(geodesic_blocks(graph, sources)))]
     assert got == [row.tobytes() for row in oracles.dijkstra(graph, sources)]
 
 
@@ -35,12 +35,12 @@ class TestDijkstra:
 
     def test_unit_square_from_corner(self):
         g = generate_rectilinear(GridSpec(1))
-        assert next(geodesics(g, [0])).tolist() == [0.0, 1.0, 1.0, 2.0]
+        assert next(geodesic_blocks(g, [0])).tolist() == [[0.0, 1.0, 1.0, 2.0]]
 
     def test_grid_distances_are_manhattan(self):
         spec = GridSpec(4)
         g = generate_rectilinear(spec)
-        row = next(geodesics(g, [0]))
+        (row,) = next(geodesic_blocks(g, [0]))
         assert row[grid_node_id(spec, 3, 4)] == 7.0
         for i in range(5):
             for j in range(5):
@@ -48,7 +48,7 @@ class TestDijkstra:
 
     def test_wheel_center_row(self):
         g = generate_radioconcentric(RadialSpec(4, 1))
-        assert next(geodesics(g, [0])).tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert next(geodesic_blocks(g, [0])).tolist() == [[0.0, 1.0, 1.0, 1.0, 1.0]]
 
     def test_opposite_wheel_nodes_via_center(self):
         g = generate_radioconcentric(RadialSpec(4, 1))
@@ -58,21 +58,21 @@ class TestDijkstra:
     def test_invalid_source(self):
         g = generate_rectilinear(GridSpec(1))
         with pytest.raises(ValueError):
-            next(geodesics(g, [4]))
+            next(geodesic_blocks(g, [4]))
         with pytest.raises(ValueError):
-            next(geodesics(g, [-1]))
+            next(geodesic_blocks(g, [-1]))
 
     def test_unreachable_marked_infinite(self):
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], [(0, 1)])
-        row = next(geodesics(g, [0]))
+        (row,) = next(geodesic_blocks(g, [0]))
         assert row[1] == 1.0
         assert math.isinf(row[2])
 
     def test_candidate_overflow_is_silent(self):
         # one edge near a float's range: the way back from node 1 sums past it
         g = NetworkGraph([(1e308, 0.0), (0.0, 1.0)], [(0, 1)])
-        rows = list(geodesics(g, [0, 1]))
-        assert [row.tolist() for row in rows] == [[0.0, 1e308], [1e308, 0.0]]
+        rows = np.vstack(list(geodesic_blocks(g, [0, 1])))
+        assert rows.tolist() == [[0.0, 1e308], [1e308, 0.0]]
 
 
 class TestBatch:
@@ -84,28 +84,28 @@ class TestBatch:
     )
 
     def test_rows_come_in_source_order_with_repeats(self):
-        rows = list(geodesics(self.GRAPH, [2, 0, 2]))
+        rows = np.vstack(list(geodesic_blocks(self.GRAPH, [2, 0, 2])))
         expected = all_pairs(self.GRAPH)
         assert len(rows) == 3
         for row, source in zip(rows, [2, 0, 2]):
             assert row.tobytes() == expected[source].tobytes()
 
     def test_empty_batch_yields_nothing(self):
-        assert list(geodesics(self.GRAPH, [])) == []
+        assert list(geodesic_blocks(self.GRAPH, [])) == []
 
     def test_bad_id_raises_before_any_row(self):
-        rows = geodesics(self.GRAPH, [0, 99])
+        rows = geodesic_blocks(self.GRAPH, [0, 99])
         with pytest.raises(ValueError, match=r"^source id 99 outside 0\.\.4$"):
             next(rows)
 
     @pytest.mark.parametrize("bad", [1.5, True, np.True_, 2.0, "1", None], ids=repr)
     def test_non_integer_id_raises_before_any_row(self, bad):
-        rows = geodesics(self.GRAPH, [0, bad])
+        rows = geodesic_blocks(self.GRAPH, [0, bad])
         with pytest.raises(ValueError, match=rf"^source id {bad!r} is not an integer$"):
             next(rows)
 
     def test_numpy_integer_ids_are_ids(self):
-        rows = list(geodesics(self.GRAPH, np.array([2, 0], dtype=np.int32)))
+        rows = np.vstack(list(geodesic_blocks(self.GRAPH, np.array([2, 0], dtype=np.int32))))
         expected = all_pairs(self.GRAPH)
         assert [r.tobytes() for r in rows] == [expected[2].tobytes(), expected[0].tobytes()]
 
@@ -114,7 +114,9 @@ class TestBatch:
         graph = generate_radioconcentric(RadialSpec(7, 3, 3))
         monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 3 * graph.node_count + 2)
         sources = [5, 0, 17, 5, 63, 1, 2, 40, 0, 9]
-        rows = list(geodesics(graph, sources))  # held: later chunks must not overwrite them
+        blocks = list(geodesic_blocks(graph, sources))  # held: later chunks must not overwrite them
+        assert [len(block) for block in blocks] == [3, 3, 3, 1]
+        rows = np.vstack(blocks)
         expected = oracles.dijkstra(graph, sources)
         assert [r.tobytes() for r in rows] == [r.tobytes() for r in expected]
 
@@ -126,9 +128,8 @@ class TestBatch:
         assert len(sources) == 5151
         tracemalloc.start()
         try:
-            rows = geodesics(graph, sources)
-            for _ in range(2 * (shortest_paths.CHUNK_ENTRIES // graph.node_count)):
-                next(rows)  # the first two chunks
+            blocks = geodesic_blocks(graph, sources)
+            next(blocks), next(blocks)  # the first two chunks
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -151,7 +152,7 @@ class TestAgainstHeapDijkstra:
 
 
 def assert_exact_geodesics(graph, expected):
-    got = np.vstack([d_geodesic for _, _, _, d_geodesic, _ in straightness_rows(graph)])
+    got = np.vstack([d_geodesic for _, _, _, d_geodesic, _ in straightness_blocks(graph)])
     assert np.abs(got - expected).max() <= 1e-12
 
 
