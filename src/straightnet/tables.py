@@ -1,4 +1,4 @@
-"""CSV tables: their schemas, writers, one reader and the series ``plot`` draws.
+"""CSV tables: their schemas, writers, and the series ``plot`` draws from one.
 
 Curves, sweep cells and node pairs each have one table.  Angles and
 distances have 12 significant digits, straightness-like values 9 (enough
@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import itertools
 import math
 import os
 import pickle
@@ -325,28 +326,6 @@ def _words(n: np.ndarray, count: int) -> np.ndarray:
     return words
 
 
-def read_table(path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a CSV produced by the writers above; values stay as strings.  A table of
-    more than MAX_CURVE_SAMPLES data rows is refused as soon as its next row is read."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty table")
-            rows = []
-            for fields in filter(None, reader):  # blank lines are skipped
-                if len(fields) != len(header):
-                    counts = f"{len(fields)} fields, the header {len(header)}"
-                    raise ValueError(f"{path}: line {reader.line_num} has {counts}")
-                if len(rows) == MAX_CURVE_SAMPLES:
-                    raise ValueError(f"{path}: more than {MAX_CURVE_SAMPLES=} data rows")
-                rows.append(dict(zip(header, fields)))
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-        return header, rows
-
-
 def plot_series(path, x=None, y=None, series=None) -> tuple[str, str, list[Series]]:
     """The ``(x, y, series)`` that ``plot`` draws from the table at ``path``.
 
@@ -355,33 +334,53 @@ def plot_series(path, x=None, y=None, series=None) -> tuple[str, str, list[Serie
     one series per value of the others; a given ``y`` or ``series`` still
     wins.  Series are labelled ``col=value ...`` (``y`` without series
     columns) in first-seen row order.  Rows whose x or y is not finite, as
-    in a pair table, are left out.
+    in a pair table, are left out.  The table is read in one pass, with the
+    columns checked at its first data row, so its first fault names the error.
     """
-    header, rows = read_table(path)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    if x is None:
-        split = len(header) - len(SWEEP_SUMMARY_HEADER)
-        if CURVE_HEADER[0] in header:
-            x, default_y, default_series = CURVE_HEADER[0], CURVE_HEADER[1], CURVE_HEADER[2:]
-        elif split > 0 and header[split:] == SWEEP_SUMMARY_HEADER:
-            x, default_y, default_series = header[0], "mean", header[1:split]
-        else:
-            raise ValueError("cannot infer plot columns; pass --x/--y (and optionally --series)")
-        y = y or default_y
-        series = default_series if series is None else series
-    if y is None:
-        raise ValueError("missing --y column")
-    series = series or []
-    for column in (x, y, *series):
-        if column not in header:
-            raise ValueError(f"column {column!r} not in table header {header}")
-    grouped: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        point = _number(path, x, row[x]), _number(path, y, row[y])
-        if math.isfinite(point[0]) and math.isfinite(point[1]):
-            label = " ".join(f"{column}={row[column]}" for column in series) or y
-            grouped.setdefault(label, []).append(point)
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty table")
+            rows = filter(None, reader)  # blank lines are skipped
+            first = next(rows, None)
+            if first is None:
+                raise ValueError(f"{path}: no data rows")
+            if x is None:
+                split = len(header) - len(SWEEP_SUMMARY_HEADER)
+                if CURVE_HEADER[0] in header:
+                    x, default_y, *default_series = CURVE_HEADER
+                elif split > 0 and header[split:] == SWEEP_SUMMARY_HEADER:
+                    x, default_y, default_series = header[0], "mean", header[1:split]
+                else:
+                    raise ValueError(
+                        "cannot infer plot columns; pass --x/--y (and optionally --series)"
+                    )
+                y = y or default_y
+                series = default_series if series is None else series
+            if y is None:
+                raise ValueError("missing --y column")
+            series = series or []
+            for column in (x, y, *series):
+                if column not in header:
+                    raise ValueError(f"column {column!r} not in table header {header}")
+            at = {column: i for i, column in enumerate(header)}  # a repeated name: the last
+            grouped: dict[str, list[tuple[float, float]]] = {}
+            for count, fields in enumerate(itertools.chain([first], rows)):
+                if len(fields) != len(header):
+                    counts = f"{len(fields)} fields, the header {len(header)}"
+                    raise ValueError(f"{path}: line {reader.line_num} has {counts}")
+                if count == MAX_CURVE_SAMPLES:
+                    raise ValueError(f"{path}: more than {MAX_CURVE_SAMPLES=} data rows")
+                point = _number(path, x, fields[at[x]]), _number(path, y, fields[at[y]])
+                if math.isfinite(point[0]) and math.isfinite(point[1]):
+                    label = " ".join(f"{column}={fields[at[column]]}" for column in series) or y
+                    grouped.setdefault(label, []).append(point)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded a block at a time: no line to name
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     return x, y, [Series(label, tuple(points)) for label, points in grouped.items()]
 
 

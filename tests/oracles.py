@@ -29,9 +29,11 @@ oracle within an ulp, where ``np.hypot`` and ``math.hypot`` differ), and the
 ``loop_center_*`` checks the per-node center checks the row-kernel ones
 must agree with.  The scalar ``*_node_id`` one-liners state the
 generators' node-id layout independently of ``src/``, so the loop
-builders and the tests index nodes through them.
+builders and the tests index nodes through them.  ``read_table`` reads a
+written table back as ``csv.DictReader`` does, with none of the library's code.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -61,6 +63,13 @@ def side_node_id(spec, ring, side, step):
     """Id of node ``step`` (1..q-1) on the chord from spoke ``side`` on ``ring``."""
     k, q = spec.radii_count, spec.side_subdivision
     return 1 + spec.rings_count * k + ((ring - 1) * k + side) * (q - 1) + step - 1
+
+
+def read_table(path):
+    """A table's header and its rows, as dicts of strings."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
 
 
 def euclidean_distance(a, b):

@@ -40,7 +40,7 @@ MODULE_NAMES = {
     "shortest_paths": ["geodesic_blocks"],
     "svgplot": ["Series", "render_svg", "write_svg"],
     "sweeps": ["DEFAULT_SWEEP_SUBDIVISION"],
-    "tables": ["plot_series", "read_table", "usable_cpus", "write_pairs_csv"],
+    "tables": ["plot_series", "usable_cpus", "write_pairs_csv"],
     "validation": [
         "CheckResult",
         "center_curve_check",
@@ -49,11 +49,13 @@ MODULE_NAMES = {
     ],
 }
 
-# the per-row views of the block kernel, removed: rows come from metrics.straightness_blocks
+# removed: the per-row views of the block kernel (rows come from metrics.straightness_blocks)
+# and the dict-per-row table reader (plot_series reads a table in one pass)
 REMOVED_NAMES = {
     "straightnet": ["straightness_rows"],
     "straightnet.metrics": ["straightness_rows"],
     "straightnet.shortest_paths": ["geodesics"],
+    "straightnet.tables": ["read_table"],
 }
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from straightnet import GridSpec, generate_rectilinear, load_graph, summarize
 from straightnet.analytic import MAX_CURVE_SAMPLES
 from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
 from straightnet.shortest_paths import geodesic_blocks
-from straightnet.tables import read_table
+
+from oracles import read_table
 
 
 def run_cli(*args):
@@ -761,6 +763,28 @@ class TestPlot:
         assert svg.exists() != bool(code)
 
 
+@pytest.mark.parametrize(
+    "command, valid",
+    [  # the table's rows run past the first block of text that is decoded
+        (
+            ("plot", "{path}", "--out", "{path}.svg"),
+            "alpha,straightness,network,k\n" + "0.1,0.9,radial,8\n" * 1000,
+        ),
+        (("straightness", "{path}"), '{"nodes": [{"id": 0, "x": 0, "y": 0}],\n'),
+    ],
+    ids=["table", "graph"],
+)
+@pytest.mark.parametrize("at", ["first", "after-a-row"])
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys, command, valid, at):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(valid.encode() * (at != "first") + b"\xff,1,radial,8\n")
+    assert run_cli(*(a.format(path=path) for a in command)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"straightnet: {path}: ")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+    assert not tmp_path.joinpath("bad.txt.svg").exists()
+
+
 # JSON values that are not what a graph entry holds, or only just are
 JUNK = st.sampled_from(
     [None, True, False, "", "1.5", [0], {}, -1, 1.5, 1e20, 2**70, 10**400]
@@ -874,8 +898,10 @@ class TestDeterminism:
 
 
 def test_console_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "straightnet", "--version"],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -28,7 +28,7 @@ from straightnet import (
 from straightnet.model import graph_from_json, graph_to_json
 from straightnet.metrics import block_moments, straightness_blocks, summarize_moments
 from straightnet.shortest_paths import geodesic_blocks
-from straightnet.tables import read_table, write_pairs_csv
+from straightnet.tables import write_pairs_csv
 from straightnet.validation import center_curve_check, center_radial_check
 
 import oracles
@@ -38,6 +38,7 @@ from oracles import (
     format_ratio,
     grid_node_id,
     pair_straightness,
+    read_table,
     ring_node_id,
     rows_of,
     side_node_id,

@@ -17,9 +17,10 @@ from straightnet import (
 from straightnet import metrics, shortest_paths, sweeps
 from straightnet.shortest_paths import geodesic_blocks
 from straightnet.sweeps import DEFAULT_SWEEP_SUBDIVISION, _grid_ids, _wheel_ids
-from straightnet.tables import read_table, write_sweep_csv
+from straightnet.tables import write_sweep_csv
 
 import oracles
+from oracles import read_table
 
 
 def record_summaries(monkeypatch):

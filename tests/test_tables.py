@@ -2,6 +2,7 @@
 formatting, and the plot defaults."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +158,21 @@ class TestPlotColumns:
         message = "cannot infer plot columns" if header else "no data rows"
         with pytest.raises(ValueError, match=message):
             plot_series(path)
+
+
+def test_plot_keeps_only_the_points_it_draws(tmp_path):
+    # a dict of strings per row, as a reader of whole rows keeps, is about 590 B a row
+    path, rows = tmp_path / "pairs.csv", 20_000
+    lines = [",".join(PAIRS_HEADER)]
+    for i in range(rows):
+        d = 1.0 + i / rows
+        lines.append(f"{i // 200},{i % 200 + 200},{d:.12g},{1.25 * d:.12g},{0.8:.9g}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        _, _, series = plot_series(path, "d_spatial", "straightness")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(s.points) for s in series] == [rows]
+    assert peak < 200 * rows
