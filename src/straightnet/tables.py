@@ -39,12 +39,12 @@ CURVE_HEADER = ["alpha", "straightness", "network", "k"]
 SWEEP_SUMMARY_HEADER = ["pair_count", "mean", "std_dev", "skipped"]
 PAIRS_HEADER = ["u", "v", "d_spatial", "d_geodesic", "straightness"]
 
-# Pairs formatted and written at once, about 1.5 MB of text, so memory stays flat while
-# numpy's per-call cost spreads over ~2**14 rows instead of one source's few hundred.
-CHUNK_PAIRS = 1 << 14
+# Pairs each source range formats and writes at once, about 0.7 MB of padded text, so
+# memory stays flat while numpy's per-call cost spreads over 2**13 rows, not a source's few.
+CHUNK_PAIRS = 1 << 13
 
 # Most source ranges a pair dump runs at once, each after the first in a forked
-# process, each with 1/K of CHUNK_ENTRIES and CHUNK_PAIRS.  Threads did not help: on
+# process, each with 1/K of CHUNK_ENTRIES per geodesic chunk.  Threads did not help: on
 # these 2k-8k-value arrays nearly every numpy call holds the GIL, and two threads
 # relaxed 0.95x as fast as one.  On 2 cores the street graph (side 31) dumps in about
 # 0.23 s on two processes and 0.40 s on one.  More than two were not measured.
@@ -125,27 +125,21 @@ def write_pairs_csv(path, graph: NetworkGraph) -> Iterator[tuple]:
     return _dump(target, graph)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _range_count() -> int:
-    """Source ranges a dump runs at once.  Forking is safe only on Linux (macOS system
-    libraries are not fork-safe; Windows cannot fork) and only while no other Python
-    thread runs, as the child would inherit the locks that thread holds."""
-    if sys.platform != "linux" or threading.active_count() > 1:
+def _range_count(nodes: int) -> int:
+    """Source ranges a dump of ``nodes`` sources runs at once: one for a graph of one
+    geodesic chunk.  Forking is safe only on Linux (macOS system libraries are not
+    fork-safe; Windows cannot fork) and only while no other Python thread runs, as the
+    child would inherit the locks that thread holds."""
+    one_chunk = nodes * nodes <= shortest_paths.CHUNK_ENTRIES
+    if one_chunk or sys.platform != "linux" or threading.active_count() > 1:
         return 1
-    return min(MAX_RANGES, usable_cpus())
+    return min(MAX_RANGES, len(os.sched_getaffinity(0)))
 
 
 def _dump(path: Path, graph: NetworkGraph) -> Iterator[tuple]:
-    n = graph.node_count
-    parts = _range_count() if n * n > shortest_paths.CHUNK_ENTRIES else 1
-    cuts, limit = _cuts(n, graph.edge_count, parts), max(1, CHUNK_PAIRS // parts)
-    ranges = zip(cuts, cuts[1:])  # every stream checks its ids here, before any fork
+    parts = _range_count(graph.node_count)
+    cuts = _cuts(graph.node_count, graph.edge_count, parts)
+    ranges = zip(cuts, cuts[1:])  # each stream checks its work here, its ids at its first block
     streams = [straightness_blocks(graph, [(u, 1) for u in range(*r)], parts) for r in ranges]
     part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
     fh = part.open("xb")
@@ -154,9 +148,9 @@ def _dump(path: Path, graph: NetworkGraph) -> Iterator[tuple]:
         with fh, contextlib.ExitStack() as stack:
             spills = [stack.enter_context(tempfile.TemporaryFile()) for _ in streams[1:]]
             for blocks, spill in zip(streams[1:], spills):
-                children.append(_fork(blocks, spill, limit))
+                children.append(_fork(blocks, spill))
             fh.write(",".join(PAIRS_HEADER).encode() + b"\n")
-            moments = _run(streams[0], fh, limit)
+            moments = _run(streams[0], fh)
             for spill in spills:
                 moments += _reap(children)
                 spill.seek(0)
@@ -169,16 +163,16 @@ def _dump(path: Path, graph: NetworkGraph) -> Iterator[tuple]:
     yield from moments
 
 
-def _run(blocks: Iterator[tuple], out: BinaryIO, limit: int) -> list[tuple]:
+def _run(blocks: Iterator[tuple], out: BinaryIO) -> list[tuple]:
     """Write the pair lines of a range's blocks to ``out``; return its rows' moments."""
     moments = []
     for block in blocks:
-        out.writelines(_pair_lines(block, limit))
+        out.writelines(_pair_lines(block))
         moments += block_moments(block[1], block[4])
     return moments
 
 
-def _fork(blocks: Iterator[tuple], out: BinaryIO, limit: int) -> tuple[int, BinaryIO]:
+def _fork(blocks: Iterator[tuple], out: BinaryIO) -> tuple[int, BinaryIO]:
     """Run a range in a child process; return its pid and the pipe on which it sends
     ``("ok", moments)`` or ``("error", exception)`` before it ends."""
     read, write = os.pipe()
@@ -190,7 +184,7 @@ def _fork(blocks: Iterator[tuple], out: BinaryIO, limit: int) -> tuple[int, Bina
     try:  # the child never returns: its copy of the caller's stack must not run on
         os.close(read)
         try:
-            result = "ok", _run(blocks, out, limit)
+            result = "ok", _run(blocks, out)
             out.flush()
         except BaseException as exc:
             result = "error", exc
@@ -248,13 +242,13 @@ def _cuts(nodes: int, edges: int, parts: int) -> list[int]:
     return [0, *cuts.tolist(), nodes]
 
 
-def _pair_lines(block: tuple, limit: int) -> Iterator[bytes]:
-    """The table lines of a block's ``v > u`` pairs, about ``limit`` pairs at a time."""
+def _pair_lines(block: tuple) -> Iterator[bytes]:
+    """The table lines of a block's ``v > u`` pairs, about ``CHUNK_PAIRS`` at a time."""
     u, _, *columns = block  # d_spatial, d_geodesic, straightness
     above = np.arange(columns[0].shape[1]) > u[:, None]
     ends = np.cumsum(above.sum(axis=1))
-    bounds = [0, *(np.searchsorted(ends, np.arange(limit, ends[-1], limit)) + 1).tolist(), len(u)]
-    for lo, hi in zip(bounds, bounds[1:]):
+    cuts = np.searchsorted(ends, np.arange(CHUNK_PAIRS, ends[-1], CHUNK_PAIRS)) + 1
+    for lo, hi in itertools.pairwise([0, *cuts.tolist(), len(u)]):
         if (pairs := above[lo:hi]).any():
             floats = [_floats(c[lo:hi][pairs], d) for c, d in zip(columns, (12, 12, 9))]
             u_words = np.repeat(_integers(u[lo:hi]), pairs.sum(axis=1), axis=1)
@@ -379,9 +373,23 @@ def plot_series(path, x=None, y=None, series=None) -> tuple[str, str, list[Serie
                     grouped.setdefault(label, []).append(point)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:  # decoded a block at a time: no line to name
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded a block at a time: its position misleads
+            raise ValueError(f"{path}: not UTF-8 text: {_undecodable(path) or exc}") from exc
     return x, y, [Series(label, tuple(points)) for label, points in grouped.items()]
+
+
+def _undecodable(path) -> str | None:
+    """Where the file at ``path`` first fails to decode as UTF-8, by line and byte."""
+    with Path(path).open("rb") as fh:
+        offset = 0
+        for number, line in enumerate(fh, 1):  # no UTF-8 sequence holds a "\n" byte
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = f"byte 0x{line[exc.start]:02x} at file offset {offset + exc.start}"
+                return f"line {number}: can't decode {byte}: {exc.reason}"
+            offset += len(line)
+    return None
 
 
 def _number(path, column: str, text: str) -> float:

@@ -496,7 +496,7 @@ class TestStraightness:
         if earlier is not None:
             pairs_path.write_bytes(earlier)
         monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 10 * 100)  # 10 chunks
-        monkeypatch.setattr(tables, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(tables.os, "sched_getaffinity", lambda _: {0, 1})
         blocks, ranges = tables.straightness_blocks, []
 
         def kernel(graph, sources, *rest):
@@ -532,7 +532,7 @@ class TestStraightness:
         graph_path, pairs_path = tmp_path / "grid.json", tmp_path / "pairs.csv"
         run_cli("gen", "rect", "--size", 9, "--out", graph_path)
         monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 10 * 100)  # 10 chunks
-        monkeypatch.setattr(tables, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(tables.os, "sched_getaffinity", lambda _: {0, 1})
         blocks, parent = tables.straightness_blocks, os.getpid()
 
         def kernel(graph, sources, *rest):
@@ -782,6 +782,10 @@ def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys, command, valid,
     err = capsys.readouterr().err
     assert err.startswith(f"straightnet: {path}: ")
     assert "can't decode byte 0xff" in err and err.count("\n") == 1
+    if command[0] == "plot":  # the file's own line and byte, not a decoded block's
+        before = valid.encode() * (at != "first")
+        line = before.count(b"\n") + 1
+        assert f": line {line}: can't decode byte 0xff at file offset {len(before)}:" in err
     assert not tmp_path.joinpath("bad.txt.svg").exists()
 
 

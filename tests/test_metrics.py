@@ -450,7 +450,7 @@ def assert_dump_is_the_loop_dump(graph, directory, monkeypatch=None):
     expected = fold_rows(graph, rows), (directory / "loop.csv").read_bytes()
     for cpus in (1, 2) if monkeypatch else (None,):
         if monkeypatch:
-            monkeypatch.setattr(tables, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(tables.os, "sched_getaffinity", lambda _: set(range(cpus)))
             parts = []
             monkeypatch.setattr(
                 tables,
@@ -575,7 +575,7 @@ class TestPairDump:
         graph = jittered_street_graph(7, 12)
         monkeypatch.setattr(shortest_paths, "CHUNK_ENTRIES", 3 * 144)
         monkeypatch.setattr(tables, "MAX_RANGES", 4)
-        monkeypatch.setattr(tables, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(tables.os, "sched_getaffinity", lambda _: {0, 1, 2, 3})
         starts = []
 
         def spy(graph, sources, k):
@@ -597,11 +597,12 @@ class TestPairDump:
 
     def test_dump_memory_stays_flat(self, monkeypatch, tmp_path):
         # 461,280 pairs.  Kept whole, the rows are 22 MB (3 float64 arrays of 961
-        # each per source) and the table text 16 MB; a write of 2**14 pairs is
-        # about 1.5 MB of text and one geodesic chunk 1 MB, halved for each of two
-        # ranges.  The forked range's process traces its own peak, from the fork on.
+        # each per source) and the table text 16 MB; each range writes CHUNK_PAIRS =
+        # 2**13 pairs at a time, about 0.7 MB of padded text, and relaxes half of a
+        # 1 MB geodesic chunk.  The forked range's process traces its own peak, from
+        # the fork on.
         graph = generic_copy(generate_rectilinear(GridSpec(30)))
-        monkeypatch.setattr(tables, "usable_cpus", lambda: tables.MAX_RANGES)
+        monkeypatch.setattr(tables.os, "sched_getaffinity", lambda _: set(range(tables.MAX_RANGES)))
         peaks = tmp_path / "peaks.txt"
 
         def traced(graph, sources, k):
@@ -656,7 +657,7 @@ class TestProcesses:
         fork, start = os.fork, threading.Thread.start
         monkeypatch.setattr(os, "fork", lambda: forks.append(pid := fork()) or pid)
         monkeypatch.setattr(threading.Thread, "start", lambda t: threads.append(t) or start(t))
-        monkeypatch.setattr(tables, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(tables.os, "sched_getaffinity", lambda _: {0, 1})
         return forks, threads
 
     def test_sweeps_start_none(self, started):
@@ -688,6 +689,16 @@ class TestProcesses:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive() and alone == forked and len(forks) == 1
+        assert_no_child_process()
+
+    def test_other_platforms_dump_in_one_process(self, started, monkeypatch, tmp_path):
+        # macOS system libraries are not fork-safe, and Windows cannot fork
+        forks, _ = started
+        graph = generic_copy(generate_rectilinear(GridSpec(19)))
+        forked = dump_pairs(graph, tmp_path / "forked.csv")
+        assert len(forks) == 1
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert dump_pairs(graph, tmp_path / "alone.csv") == forked and len(forks) == 1
         assert_no_child_process()
 
     @pytest.mark.parametrize(

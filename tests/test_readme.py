@@ -1,5 +1,6 @@
 """Every fenced ``python`` block of README.md runs to completion against src/."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -9,7 +10,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+# the module of each constant README names with its value
+CONSTANTS = {
+    "BLOCK_ENTRIES": "metrics",
+    "CHUNK_ENTRIES": "shortest_paths",
+    "CHUNK_PAIRS": "tables",
+    "MAX_CURVE_SAMPLES": "analytic",
+    "MAX_NODES": "generators",
+    "MAX_WORK": "metrics",
+    "SOURCE_COST": "tables",
+}
 
 
 def test_blocks_found():
@@ -27,3 +39,14 @@ def test_block_runs(block, tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_constants_match_the_code():
+    # `NAME` = value, the value possibly wrapped onto the next line: 2^17, 1,000,000, 0.14
+    found = re.findall(r"`([A-Z_]+)` =\s+(\d[\d,.^]*\d|\d)", README)
+    assert sorted({name for name, _ in found}) == sorted(CONSTANTS)
+    for name, text in found:
+        base, _, power = text.replace(",", "").partition("^")
+        value = int(base) ** int(power) if power else float(base)
+        module = importlib.import_module(f"straightnet.{CONSTANTS[name]}")
+        assert value == getattr(module, name), f"README: `{name}` = {text}"
