@@ -18,7 +18,7 @@ from .generators import (
     generate_radioconcentric,
     generate_rectilinear,
 )
-from .metrics import summarize, summarize_moments
+from .metrics import summarize
 from .model import load_graph, save_graph
 from .svgplot import Series, render_svg, write_svg
 from .sweeps import DEFAULT_SWEEP_SUBDIVISION, sweep_radial, sweep_rectilinear
@@ -100,7 +100,7 @@ def _cmd_curve(args) -> int:
     ]
     write_curve_csv(args.out_csv, curves)
     print(f"curve table: {len(kinds)} network(s) x {args.steps} samples -> {args.out_csv}")
-    if args.out_svg:
+    if args.out_svg is not None:
         series = [
             Series(
                 "rectilinear" if kind == "rectilinear" else f"radial k={k}",
@@ -143,8 +143,8 @@ def _cmd_sweep_radial(args) -> int:
 
 def _cmd_straightness(args) -> int:
     graph = load_graph(args.graph)
-    if args.pairs_csv:  # every node's row, not one per orbit
-        summary = summarize_moments(graph, write_pairs_csv(args.pairs_csv, graph), args.strict)
+    if args.pairs_csv is not None:  # every node's row, not one per orbit
+        summary = write_pairs_csv(args.pairs_csv, graph, args.strict)
     else:
         summary = summarize(graph, strict=args.strict)
     print(f"nodes:   {graph.node_count}")
@@ -153,7 +153,7 @@ def _cmd_straightness(args) -> int:
     print(f"skipped: {summary.skipped_pairs}")
     print(f"mean:    {summary.mean:.9f}")
     print(f"std_dev: {summary.std_dev:.9f}")
-    if args.pairs_csv:
+    if args.pairs_csv is not None:
         print(f"pair table -> {args.pairs_csv}")
     return EXIT_OK
 

@@ -89,7 +89,7 @@ def block_moments(weights, ratio: np.ndarray) -> list[tuple]:
     counts = kept.sum(axis=1)
     sums, squares = np.zeros(len(ratio)), np.zeros(len(ratio))
     for c in set(counts.tolist()) - {0}:  # reshape(-1, 0) would raise; np.unique loads numpy.ma
-        rows = np.flatnonzero(counts == c)  # often every row: then the block is not copied
+        rows = np.flatnonzero(counts == c)  # boolean indexing copies: ratio is left as it was
         values = (ratio[rows][kept[rows]] if len(rows) < len(ratio) else ratio[kept]).reshape(-1, c)
         sums[rows] = values.sum(axis=1)
         values -= sums[rows, None] / c
@@ -111,7 +111,7 @@ def _fold(n: int, moments: Iterable[tuple]) -> StraightnessSummary:
 
 def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[StraightnessSummary]:
     """The summary of each cell from one :func:`straightness_blocks` batch over the orbits
-    of ``host``, which checks that batch's work.
+    of ``host``, which checks that batch's work; :func:`summarize` is its one-cell case.
 
     A cell is the isometric subgraph on increasing host ids that every symmetry of
     ``host`` keeps whole, so its orbits are the host's inside it and a host row at its
@@ -128,30 +128,28 @@ def nested_summaries(host: NetworkGraph, cells: list[np.ndarray]) -> list[Straig
 def summarize(graph: NetworkGraph, strict: bool = False) -> StraightnessSummary:
     """Mean and standard deviation of straightness over all node pairs.
 
-    Folds :func:`straightness_blocks`, one row per orbit of the graph's symmetry
-    group, weighted by orbit size: a symmetry preserves both distances, so every
-    node of an orbit sees the same values.  Its ``nan`` pairs are the skipped ones
-    and the rest lie in ``(0, 1]``; :func:`summarize_moments` checks the graph and
-    folds, and the batch's work is checked only once those checks have passed.
+    The one cell of :func:`nested_summaries` that is the whole graph: one row per orbit
+    of its symmetry group, weighted by orbit size, as a symmetry preserves both distances.
+    Its ``nan`` pairs are the skipped ones and the rest lie in ``(0, 1]``.  The graph is
+    checked as by :func:`summarize_moments`, and only then the batch's work.
     """
-    return summarize_moments(graph, _moments(graph), strict)
-
-
-def _moments(graph: NetworkGraph) -> Iterator[tuple]:
-    for _, weights, _, _, ratio in straightness_blocks(graph, graph.orbits):  # after the checks
-        yield from block_moments(weights, ratio)
+    _check(graph, strict)
+    return nested_summaries(graph, [np.arange(graph.node_count)])[0]
 
 
 def summarize_moments(
     graph: NetworkGraph, moments: Iterable[tuple], strict: bool = False
 ) -> StraightnessSummary:
     """The summary of ``graph`` from the :func:`block_moments` of rows whose weights
-    sum to N, as the pair-table writer yields them, merged by :func:`_fold`.
+    sum to N, as the pair-table writer passes them, merged by :func:`_fold`.  The graph
+    is checked before ``moments`` is read."""
+    _check(graph, strict)
+    return _fold(graph.node_count, moments)
 
-    Positions are distinct and path lengths finite, so the skipped pairs are
-    those between connected components.  With ``strict`` a graph that has
-    any raises, as does a graph without edges, before ``moments`` is read.
-    """
+
+def _check(graph: NetworkGraph, strict: bool) -> None:
+    """Refuse a graph of fewer than 2 nodes or without edges, and with ``strict`` one whose
+    components leave pairs skipped: positions are distinct and path lengths finite."""
     n = graph.node_count
     if n < 2:
         raise ValueError("need at least 2 nodes to aggregate pair straightness")
@@ -161,4 +159,3 @@ def summarize_moments(
             raise ValueError(f"{crossing} pair(s) unreachable or co-located")
     if graph.edge_count == 0:
         raise ValueError("no measurable pair in graph")
-    return _fold(n, moments)

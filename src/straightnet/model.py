@@ -31,7 +31,8 @@ class NetworkGraph:
     nodes : sequence of (x, y)
         Node positions, one per id, all coordinates finite.
     edges : sequence of (u, v)
-        Unordered id pairs.  Self-loops and duplicate edges are rejected.
+        Unordered id pairs.  Self-loops, duplicate edges and ids that are not whole
+        numbers (``1.0`` is, ``1.5``, ``"1"`` and ``True`` are not) are rejected.
     symmetries : sequence of node permutations, optional
         Generators of a group of automorphisms: ``perm[i]`` is the image of
         node ``i``.  Each must map the edge set onto itself and move the
@@ -84,13 +85,13 @@ class NetworkGraph:
             raise ValueError(f"nodes {i} and {j} share the position {key}")
 
         n = len(positions)
-        try:
-            given = np.array(edges, dtype=np.int64)
-        except OverflowError:  # an id past int64 names no node either
-            given = np.array(edges, dtype=object)
+        given, bad = _ids(edges)
         given = given.reshape(0, 2) if given.shape == (0,) else given
         if given.ndim != 2 or given.shape[1] != 2:
             raise ValueError("edges must be a sequence of (u, v) pairs")
+        if bad.any():
+            edge = tuple(given[bad.any(axis=1).argmax()].tolist())
+            raise ValueError(f"edge {edge} holds an id that is not a whole number")
         # each check covers the whole array; the first faulty edge names the error
         unknown = np.any((given < 0) | (given >= n), axis=1)
         edge_arr = np.sort(np.where(unknown[:, None], 0, given).astype(np.int64), axis=1)
@@ -138,8 +139,8 @@ class NetworkGraph:
 def _check_symmetry(perm, positions, edges, keys) -> np.ndarray:
     """Validate one automorphism against the sorted edge ``keys``; return it."""
     n = len(positions)
-    perm = np.array(perm, dtype=np.int64)
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    perm, bad = _ids(perm)
+    if bad.any() or perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"symmetry is not a permutation of the {n} node ids")
     image = perm[edges]
     kept = np.isin(image.min(axis=1) * n + image.max(axis=1), keys, assume_unique=True)
@@ -158,6 +159,20 @@ def _check_symmetry(perm, positions, edges, keys) -> np.ndarray:
             f"symmetry is not a rigid motion of the positions (off by {residual:.3g})"
         )
     return perm
+
+
+def _ids(values) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64 node ids (object where one is past int64, or any is bad) and the
+    mask of those that are not whole numbers.  An integer array costs a dtype test."""
+    given = np.asarray(values)
+    if given.dtype.kind in "iu" and np.can_cast(given.dtype, np.int64):  # not uint64
+        return given.astype(np.int64), np.zeros(given.shape, bool)
+    given = np.array(values, dtype=object)  # as given: 2**63 would read as a float
+    bad = ~np.fromiter(map(_whole, given.flat), bool, given.size).reshape(given.shape)
+    try:
+        return (given if bad.any() else given.astype(np.int64)), bad
+    except OverflowError:  # an id past int64 names no node either
+        return given, bad
 
 
 def _classes(n: int, u, v) -> tuple[tuple[int, int], ...]:
@@ -232,9 +247,18 @@ def graph_from_json(data: dict) -> NetworkGraph:
 
 def _json_id(value) -> int:
     """``value`` as an int, refusing ``1.9``, ``"3"``, ``true`` and the like."""
-    if isinstance(value, bool) or int(value) != value:
+    if not _whole(value):
         raise ValueError(f"{value!r} is not an integer id")
     return int(value)
+
+
+def _whole(value) -> bool:
+    """Whether ``value`` is a whole number: ``1.0`` is; ``1.9``, ``"3"``, ``True``, ``nan``,
+    ``inf`` and ``None`` are not."""
+    try:
+        return not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def save_graph(graph: NetworkGraph, path) -> None:

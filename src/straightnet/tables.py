@@ -30,7 +30,7 @@ import numpy as np
 
 from . import shortest_paths
 from .analytic import MAX_CURVE_SAMPLES
-from .metrics import block_moments, check_work, straightness_blocks
+from .metrics import block_moments, check_work, straightness_blocks, summarize_moments
 from .model import NetworkGraph
 from .svgplot import Series
 
@@ -106,23 +106,20 @@ def write_sweep_csv(path, results: Sequence) -> None:
             fh.write(template % (*r.parameters.values(), *values))
 
 
-def write_pairs_csv(path, graph: NetworkGraph) -> Iterator[tuple]:
-    """Write the ``v > u`` pairs of every node ``u`` of ``graph`` in ``(u, v)`` order and
-    yield its rows' :func:`~straightnet.metrics.block_moments` in id order, for
-    :func:`~straightnet.metrics.summarize_moments`.  The call checks the work of all
-    N sources and refuses a ``path`` that is a directory or whose directory does not
-    exist; nothing is opened until the first moment is asked for.  The sources run
-    as :func:`_cuts` ranges, each after the first in a forked process of its own and
-    into its own temporary file, and the table replaces ``path`` only once it is
-    complete.  Every process has ended by the time the first moment is yielded or an
-    error is raised.
-    """
+def write_pairs_csv(path, graph: NetworkGraph, strict: bool = False):
+    """Write the ``v > u`` pairs of every node ``u`` of ``graph`` in ``(u, v)`` order, ``nan``
+    for a skipped pair, and return their :func:`~straightnet.metrics.summarize_moments`.
+    The ``path`` (not a directory, in one that exists), the work of all N sources and the
+    graph (``strict`` as for the summary) are checked before the first geodesic.  The
+    sources run as :func:`_cuts` ranges, each after the first in a forked process into its
+    own temporary file; the table replaces ``path`` once complete, and every process has
+    ended by the time the call returns or raises."""
     target = Path(path).resolve()  # a link's target is replaced, not the link
     if target.is_dir() or not target.parent.is_dir():  # named as given, not as the part file
         code = errno.EISDIR if target.is_dir() else errno.ENOENT
         raise OSError(code, os.strerror(code), os.fspath(path))
     check_work(graph.node_count, graph.node_count, graph.edge_count)
-    return _dump(target, graph)
+    return summarize_moments(graph, _dump(target, graph), strict)  # checks, then reads
 
 
 def _range_count(nodes: int) -> int:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import straightnet
 from straightnet import GridSpec, generate_rectilinear, load_graph, summarize
 from straightnet.analytic import MAX_CURVE_SAMPLES
 from straightnet.cli import MAX_RANGE_VALUES, _parse_range, main
@@ -882,6 +883,25 @@ class TestArgumentHandling:
         assert run_cli("--version") == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("straightness", "grid.json", "--pairs-csv", ""),
+        ("curve", "--steps", 5, "--out-csv", "c.csv", "--out-svg", ""),
+    ],
+    ids=["pairs-csv", "out-svg"],
+)
+def test_empty_output_path_is_an_io_error(tmp_path, monkeypatch, capsys, args):
+    # "" names the working directory, as for --out and --out-csv, not "no output"
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen", "rect", "--size", 2, "--out", "grid.json")
+    capsys.readouterr()
+    assert run_cli(*args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("straightnet: I/O error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) in (["grid.json"], ["c.csv", "grid.json"])
+
+
 class TestDeterminism:
     def test_outputs_identical_across_repeated_runs(self, tmp_path):
         captured = {}
@@ -910,4 +930,4 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "0.1.0"
+    assert proc.stdout.strip() == straightnet.__version__  # pyproject.toml reads it too

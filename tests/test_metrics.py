@@ -267,7 +267,7 @@ class TestInvariance:
     def test_pair_enumeration_is_canonical(self, tmp_path):
         g = generate_rectilinear(GridSpec(2))
         path = tmp_path / "pairs.csv"
-        summarize_moments(g, write_pairs_csv(path, g))
+        write_pairs_csv(path, g)
         _, rows = read_table(path)
         pairs = [(int(r["u"]), int(r["v"])) for r in rows]
         assert pairs == [(u, v) for u in range(9) for v in range(u + 1, 9)]
@@ -437,7 +437,7 @@ class TestOnePassFold:
 
 def dump_pairs(graph, path):
     """The summary and pair table of the ``straightness --pairs-csv`` command."""
-    summary = summarize_moments(graph, write_pairs_csv(path, graph))
+    summary = write_pairs_csv(path, graph)
     return summary, path.read_bytes()
 
 
@@ -518,6 +518,14 @@ class TestPairDump:
             else:
                 assert straightness == "nan"
         assert_dump_is_the_loop_dump(g, tmp_path)
+
+    def test_the_call_writes_the_table_and_returns_its_summary(self, tmp_path):
+        g = generate_rectilinear(GridSpec(2))
+        path = tmp_path / "pairs.csv"
+        summary = write_pairs_csv(path, g)  # nothing of the result is read
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes().count(b"\n") == 1 + 9 * 8 // 2
+        assert summary == summarize(generic_copy(g)) and summary.pair_count == 36
 
     @pytest.mark.parametrize("size", [1, 4, 7])
     def test_symmetric_grid_dumps_like_its_json_round_trip(self, tmp_path, size):
@@ -618,7 +626,7 @@ class TestPairDump:
         monkeypatch.setattr(tables, "straightness_blocks", traced)
         tracemalloc.start()
         try:
-            summarize_moments(graph, write_pairs_csv(tmp_path / "pairs.csv", graph))
+            write_pairs_csv(tmp_path / "pairs.csv", graph)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -630,7 +638,7 @@ class TestPairDump:
         g = NetworkGraph([(0.0, 0.0), (1.0, 0.0), (9.0, 9.0)], [(0, 1)])
         path = tmp_path / "pairs.csv"
         with pytest.raises(ValueError, match="^2 pair"):
-            summarize_moments(g, write_pairs_csv(path, g), strict=True)
+            write_pairs_csv(path, g, strict=True)
         assert not path.exists() and not list(tmp_path.iterdir())
 
 
@@ -784,6 +792,18 @@ class TestBlockMoments:
         for _, weight, _, _, ratio in blocks:
             expected = [oracles.row_moments(w, r) for w, r in zip(weight.tolist(), ratio)]
             assert block_moments(weight, ratio) == expected
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-count", "mixed-counts"])
+    def test_the_block_is_left_as_it_was(self, mixed):
+        # the fold centres each row in place, on a copy: ratio[kept] copies by its mask
+        rng = np.random.default_rng(7)
+        ratio = rng.random((6, 50))
+        ratio[:, ::7] = math.nan
+        if mixed:  # rows of different measured counts, and a row of none
+            ratio[1, 1::3] = ratio[3, 2::5] = ratio[5] = math.nan
+        before = ratio.tobytes()
+        block_moments(np.arange(1, 7), ratio)
+        assert ratio.tobytes() == before
 
     @pytest.mark.parametrize("length", [1, 2, 8, 9, 129, 8191, 8192, 8193, 20_000])
     def test_long_rows(self, length):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ import oracles
 
 SQUARE_NODES = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 SQUARE_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3)]
+SEGMENT_NODES = [(0.0, 0.0), (1.0, 0.0)]
 
 
 class TestBuildGraph:
@@ -58,6 +60,45 @@ class TestBuildGraph:
     def test_id_past_int64_is_an_unknown_node(self, big):
         with pytest.raises(ValueError, match=rf"edge \(0, {big}\) references an unknown"):
             NetworkGraph(SQUARE_NODES, [(0, 1), (0, big)])
+
+    @pytest.mark.parametrize(
+        "edges, shown",
+        [
+            ([(0, 1), (0, 1.5)], "(0, 1.5)"),
+            ([(0.9, 1)], "(0.9, 1)"),
+            ([("0", "1")], "('0', '1')"),
+            ([(0, 2), (0, "1")], "(0, '1')"),
+            (np.array([[False, True]]), "(False, True)"),
+            ([(0, 1), (0, math.nan)], "(0, nan)"),
+            ([(0, -math.inf)], "(0, -inf)"),
+            ([(0, None)], "(0, None)"),
+            ([(0, 10**24), (2, 2.5)], "(2, 2.5)"),  # beside an id past int64
+            (np.array([[0.0, 1.0], [1.0, 2.5]]), "(1.0, 2.5)"),
+        ],
+    )
+    def test_ids_that_are_not_whole_numbers_rejected(self, edges, shown):
+        message = f"edge {re.escape(shown)} holds an id that is not a whole number"
+        with pytest.raises(ValueError, match=message):
+            NetworkGraph(SQUARE_NODES, edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1.0)],
+            [(0, 1)],
+            np.array([[0, 1]], dtype=np.int32),
+            np.array([[0, 1]], dtype=np.uint64),
+            np.array([[0.0, 1.0]]),
+        ],
+    )
+    def test_whole_ids_of_any_type_accepted(self, edges):
+        g = NetworkGraph(SQUARE_NODES, edges)
+        assert g.edges.tolist() == [[0, 1]] and g.edges.dtype == np.int64
+
+    def test_uint64_id_past_int64_is_named_as_given(self):
+        edges = np.array([[0, 1], [0, 2**64 - 1]], dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"edge \(0, {2**64 - 1}\) references an unknown"):
+            NetworkGraph(SQUARE_NODES, edges)
 
     @pytest.mark.parametrize(
         "edges", [[(0, 1, 2), (1, 2, 3)], [0, 1], [[]], np.zeros((2, 2, 2), dtype=int)]
@@ -168,6 +209,21 @@ class TestSymmetries:
     def test_non_permutation_rejected(self, perm):
         with pytest.raises(ValueError, match="not a permutation"):
             NetworkGraph(SQUARE_NODES, SQUARE_EDGES, symmetries=[perm])
+
+    @pytest.mark.parametrize(
+        "perm", [[1.5, 0], [1, math.nan], [1, math.inf], ["1", "0"], np.array([True, False])]
+    )
+    def test_entries_that_are_not_whole_numbers_rejected(self, perm):
+        # truncated or converted, each would read as [1, 0], the swap of a segment's ends
+        with pytest.raises(ValueError, match="not a permutation of the 2 node ids"):
+            NetworkGraph(SEGMENT_NODES, [(0, 1)], symmetries=[perm])
+
+    @pytest.mark.parametrize(
+        "perm", [[1, 0], [1.0, 0.0], np.array([1, 0], np.int32), np.array([1, 0], np.uint64)]
+    )
+    def test_whole_permutation_of_any_type_accepted(self, perm):
+        g = NetworkGraph(SEGMENT_NODES, [(0, 1)], symmetries=[perm])
+        assert g.orbits == ((0, 2),) and g.symmetries[0].dtype == np.int64
 
     def test_nudged_grid_node_rejected(self):
         g = generate_rectilinear(GridSpec(4))
